@@ -40,6 +40,7 @@ from .optimizers import (
     PsoParams,
     RunResult,
 )
+from .optimizers.common import require_finite
 
 RESULTS_HEADER = [
     "algorithm", "budget", "experiment", "seed", "m1", "m2", "phi1", "phi2",
@@ -73,6 +74,7 @@ class ExperimentPlan:
     optimizer_params: dict = field(default_factory=default_optimizer_params)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         self.algorithms = tuple(self.algorithms)
         self.iteration_budgets = tuple(int(b) for b in self.iteration_budgets)
         unknown = [a for a in self.algorithms if a not in OPTIMIZERS]
@@ -91,7 +93,8 @@ class ExperimentPlan:
 @dataclass
 class ResultRow:
     """One line of results.csv; ``result`` keeps the full trace in memory
-    and is never serialized."""
+    and ``error`` the reason of a failed run ("Type: message"); neither is
+    serialized."""
 
     algorithm: str
     budget: int
@@ -108,6 +111,7 @@ class ResultRow:
     wall_time_s: float | None = None
     status: str = "ok"
     result: RunResult | None = None
+    error: str | None = None
 
 
 @dataclass
@@ -145,8 +149,9 @@ def _execute_run(task) -> ResultRow:
         row.total_cost = breakdown.total
         row.wall_time_s = result.wall_time
         row.result = result
-    except Exception:
+    except Exception as exc:
         row.status = "failed"
+        row.error = f"{type(exc).__name__}: {exc}"
     return row
 
 

@@ -161,11 +161,15 @@ def cmd_bench(args) -> int:
     bench_mod.emit_convergence(rows, targets["convergence.csv"])
     bench_mod.emit_runtime_growth(rows, targets["runtime.csv"])
 
-    n_failed = sum(1 for r in rows if r.status != "ok")
-    print(f"completed {len(rows) - n_failed}/{len(rows)} runs -> {args.out}")
-    if n_failed:
-        print(f"warning: {n_failed} runs failed (see status column)", file=sys.stderr)
-    return EXIT_OK if n_failed < len(rows) else EXIT_RUN_FAILURE
+    failed = [r for r in rows if r.status != "ok"]
+    print(f"completed {len(rows) - len(failed)}/{len(rows)} runs -> {args.out}")
+    for r in failed:
+        print(
+            f"warning: {r.algorithm}@{r.budget} experiment {r.experiment} (seed {r.seed}) "
+            f"failed: {r.error}",
+            file=sys.stderr,
+        )
+    return EXIT_OK if len(failed) < len(rows) else EXIT_RUN_FAILURE
 
 
 def _read_solutions(path: str) -> list[tuple[str, DecisionVector]]:

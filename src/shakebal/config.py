@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .mechanism import MechanismConfig
 from .objective import ObjectiveSpec, default_search_bounds
 from .optimizers import ALGORITHM_NAMES, AbcParams, BgaParams, Bounds, HgapsoParams, PsoParams
+from .optimizers.common import require_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -33,6 +34,7 @@ class BenchSettings:
     base_seed: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(self)
         self.algorithms = tuple(self.algorithms)
         unknown = [a for a in self.algorithms if a not in ALGORITHM_NAMES]
         if unknown:
@@ -108,7 +110,7 @@ def _parse_value(kind: str, text: str):
         return _parse_angle(text)
     if kind == "int":
         value = float(text)
-        if value != int(value):
+        if not math.isfinite(value) or value != int(value):
             raise ValueError(f"expected an integer, got {text!r}")
         return int(value)
     if kind == "names":
@@ -148,14 +150,15 @@ def _read_assignments(path) -> dict[tuple[str, str], tuple[object, int]]:
     return assignments
 
 
-def _build_section(path, section: str, fields: dict, lines: dict, factory):
+def _build_section(path, section: str, fields: dict, lines: dict, factory, other_keys=()):
     """Construct one dataclass, converting invariant errors to ConfigError
-    that cite the offending key's line."""
+    that cite the offending key's line; ``other_keys`` are keys of the
+    section the factory reads besides ``fields``."""
     try:
         return factory(**fields)
     except ValueError as exc:
         message = str(exc)
-        blame = next((k for k in fields if k in message.split()), None)
+        blame = next((k for k in [*fields, *other_keys] if k in message.split()), None)
         if blame is None and fields:
             blame = next(iter(fields))
         if blame is not None and (section, blame) in lines:
@@ -194,11 +197,14 @@ def parse_config(path) -> AppConfig:
     try:
         bounds = Bounds(lower, upper)
     except ValueError as exc:
-        key = next(iter(bound_overrides), "m1_min")
-        where = f":{lines[('objective', key)]}" if ("objective", key) in lines else ""
-        raise ConfigError(f"{path}{where}: objective bounds: {exc}") from None
+        # only the file's own bounds can be at fault; a non-finite one first
+        key = min(bound_overrides, key=lambda k: math.isfinite(bound_overrides[k]))
+        raise ConfigError(
+            f"{path}:{lines[('objective', key)]}: objective.{key}: bad search bounds: {exc}"
+        ) from None
     objective = _build_section(
-        path, "objective", obj_fields, lines, lambda **kw: ObjectiveSpec(bounds=bounds, **kw)
+        path, "objective", obj_fields, lines, lambda **kw: ObjectiveSpec(bounds=bounds, **kw),
+        other_keys=bound_overrides,
     )
 
     pso = _build_section(path, "pso", section_fields("pso"), lines, PsoParams)

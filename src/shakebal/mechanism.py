@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .optimizers.common import require_finite
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -68,6 +70,7 @@ class MechanismConfig:
     r_2: float = 0.04
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("m_c", "m_p", "m_0"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")

@@ -1,4 +1,4 @@
-"""Scalar balancing cost: polar area of the force profile, with moment-area
+"""Balancing cost: polar area of the force profile, with moment-area
 constraints handled by an exterior penalty.
 
 The cost is the area the radial curve r(theta) = |p1| + |p2| encloses in
@@ -16,6 +16,12 @@ penalty_weight * sum(max(0, C - C_max) / C_max); an exterior penalty keeps
 infeasible points informative for the derivative-free samplers instead of
 rejecting them outright.
 
+The cost has two kernels with one result: a scalar one for single points
+(``evaluate``, ``calibrate_bounds``, calling the objective) and a batched
+one for a population (``GridEvaluator.batch``), which returns the scalar
+value of every row bit for bit.  They share every formula; only the
+transcendental calls differ in how they are applied per element.
+
 ``polar_area`` is the periodic rectangle rule for radii sampled on a grid,
 such as the plotted profiles of ``polar.csv``; the cost does not use it.
 """
@@ -24,13 +30,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mechanism import DecisionVector, MechanismConfig, theta_grid
-from .optimizers.common import Bounds, substream
+from .optimizers.common import Bounds, require_finite, substream
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -71,6 +76,7 @@ class ObjectiveSpec:
     bounds: Bounds = field(default_factory=default_search_bounds)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.n_samples < 8:
             raise ValueError(f"n_samples must be >= 8 (got {self.n_samples})")
         if self.c1_max <= 0:
@@ -81,6 +87,9 @@ class ObjectiveSpec:
             raise ValueError(f"penalty_weight must be >= 0 (got {self.penalty_weight})")
         if self.bounds.dimension != 4:
             raise ValueError(f"bounds must be 4-dimensional (got {self.bounds.dimension})")
+        for name, low in (("m1_min", self.bounds.lower[0]), ("m2_min", self.bounds.lower[1])):
+            if low < 0:
+                raise ValueError(f"mass bound {name} must be >= 0 (got {low})")
 
 
 @dataclass(frozen=True)
@@ -111,34 +120,100 @@ def polar_area(radii) -> float:
     return 0.5 * (TWO_PI / n) * float(np.dot(radii, radii))
 
 
-def _half_square_integral(row) -> float:
-    """1/2 * integral of p**2 over a turn, by Parseval: pi/2 * sum(coef**2)."""
-    return HALF_PI * sum(map(operator.mul, row, row))
+def _half_square_integral(row):
+    """1/2 * integral of p**2 over a turn, by Parseval: pi/2 * sum(coef**2).
+
+    ``row`` holds 2 or 4 coefficients, floats or equal-length columns; the
+    sum runs left to right in both cases, so a column holds the float
+    results.
+    """
+    if len(row) == 2:
+        c, s = row
+        return HALF_PI * (c * c + s * s)
+    c1, s1, c2, s2 = row
+    return HALF_PI * (c1 * c1 + s1 * s1 + c2 * c2 + s2 * s2)
 
 
-def _line_zeros(c: float, s: float) -> list[float]:
+def _positive_part(x: np.ndarray) -> np.ndarray:
+    """max(0.0, x) per element, with max's NaN handling (NaN -> 0.0)."""
+    return np.where(x > 0.0, x, 0.0)
+
+
+def _line_zeros(c, s, atan2=math.atan2) -> list:
     """Both zeros of c*cos(t) + s*sin(t) = hypot(c, s) * cos(t - atan2(s, c))."""
-    beta = math.atan2(s, c)
+    beta = atan2(s, c)
     return [beta - HALF_PI, beta + HALF_PI]
 
 
+# rows 2..4 of the companion matrix below
+_COMPANION_SHIFT = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
+
+
+def _companion_top(c1: float, s1: float, c2: float, s2: float) -> list[complex]:
+    """First row of the companion matrix of z**2 * p(t) at z = exp(i*t),
+    for p = c1 cos t + s1 sin t + c2 cos 2t + s2 sin 2t with (c2, s2) != 0;
+    the other rows are ``_COMPANION_SHIFT``."""
+    lead = complex(c2, -s2)
+    return [-complex(c1, -s1) / lead, 0.0, -complex(c1, s1) / lead, -complex(c2, s2) / lead]
+
+
 def _quartic_zero_angles(c1: float, s1: float, c2: float, s2: float) -> list[float]:
-    """Arguments of all four roots of z**2 * p(t) at z = exp(i*t), for
-    p = c1 cos t + s1 sin t + c2 cos 2t + s2 sin 2t with (c2, s2) != 0.
+    """Arguments of all four roots of the quartic of ``_companion_top``.
 
     Real zeros of p are the unit-modulus roots; they are found as the
     eigenvalues of the companion matrix (Boyd, J. Eng. Math. 56, 2006).
     """
-    lead = complex(c2, -s2)
-    companion = np.array(
-        [
-            [-complex(c1, -s1) / lead, 0.0, -complex(c1, s1) / lead, -complex(c2, s2) / lead],
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-        ]
-    )
+    companion = np.array([_companion_top(c1, s1, c2, s2), *_COMPANION_SHIFT])
     return [cmath.phase(z) for z in np.linalg.eigvals(companion).tolist()]
+
+
+def _antiderivative_coefficients(p1, p2) -> tuple:
+    """(k0, c_1, s_1, c_2, s_2, c_3, s_3) of Q(t) = k0 t + sum over k = 1..3
+    of (c_k sin kt - s_k cos kt), the antiderivative of p1 * p2.
+
+    p1 * p2 = k0 + sum of (C_k cos kt + S_k sin kt), and c_k = C_k / k,
+    s_k = S_k / k.  Floats or columns, like ``_half_square_integral``.
+    """
+    c1, s1, c2, s2 = p1
+    a, b = p2
+    return (
+        0.5 * (c1 * a + s1 * b),
+        0.5 * (c2 * a + s2 * b), 0.5 * (s2 * a - c2 * b),
+        0.25 * (c1 * a - s1 * b), 0.25 * (c1 * b + s1 * a),
+        (c2 * a - s2 * b) / 6.0, (c2 * b + s2 * a) / 6.0,
+    )
+
+
+def _antiderivative(k, cuts, cos, sin) -> list:
+    """Q at each cut, for the coefficients ``k`` of
+    ``_antiderivative_coefficients``.  A cut is a float (with math's
+    cos/sin) or an array of them (with numpy's): the formula is elementwise.
+    """
+    k0, c_1, s_1, c_2, s_2, c_3, s_3 = k
+    q = []
+    for t in cuts:
+        cos_t, sin_t = cos(t), sin(t)
+        cos_2t = 2.0 * cos_t * cos_t - 1.0
+        sin_2t = 2.0 * sin_t * cos_t
+        cos_3t = cos_t * (2.0 * cos_2t - 1.0)
+        sin_3t = sin_t * (2.0 * cos_2t + 1.0)
+        q.append(
+            k0 * t
+            + c_1 * sin_t - s_1 * cos_t
+            + c_2 * sin_2t - s_2 * cos_2t
+            + c_3 * sin_3t - s_3 * cos_3t
+        )
+    return q
+
+
+def _variation(k0, q: list):
+    """sum |Q(t_i+1) - Q(t_i)| over the sorted cuts and the wrap to
+    t_0 + 2*pi, where Q(t + 2*pi) = Q(t) + 2*pi*k0; left to right."""
+    q = q + [q[0] + TWO_PI * k0]
+    total = abs(q[1] - q[0])
+    for i in range(2, len(q)):
+        total = total + abs(q[i] - q[i - 1])
+    return total
 
 
 def _abs_product_integral(p1, p2) -> float:
@@ -170,28 +245,73 @@ def _abs_product_integral(p1, p2) -> float:
     else:
         cuts = _quartic_zero_angles(c1, s1, c2, s2)
     cuts = sorted([t % TWO_PI for t in cuts + _line_zeros(a, b)])
+    k = _antiderivative_coefficients(p1, p2)
+    return _variation(k[0], _antiderivative(k, cuts, math.cos, math.sin))
 
-    # p1 * p2 = k0 + sum over k = 1..3 of (C_k cos kt + S_k sin kt), so
-    # Q = k0 t + sum of (C_k sin kt - S_k cos kt) / k; c_k = C_k / k, s_k = S_k / k
-    k0 = 0.5 * (c1 * a + s1 * b)
-    c_1, s_1 = 0.5 * (c2 * a + s2 * b), 0.5 * (s2 * a - c2 * b)
-    c_2, s_2 = 0.25 * (c1 * a - s1 * b), 0.25 * (c1 * b + s1 * a)
-    c_3, s_3 = (c2 * a - s2 * b) / 6.0, (c2 * b + s2 * a) / 6.0
-    q = []
-    for t in cuts:
-        cos_t, sin_t = math.cos(t), math.sin(t)
-        cos_2t = 2.0 * cos_t * cos_t - 1.0
-        sin_2t = 2.0 * sin_t * cos_t
-        cos_3t = cos_t * (2.0 * cos_2t - 1.0)
-        sin_3t = sin_t * (2.0 * cos_2t + 1.0)
-        q.append(
-            k0 * t
-            + c_1 * sin_t - s_1 * cos_t
-            + c_2 * sin_2t - s_2 * cos_2t
-            + c_3 * sin_3t - s_3 * cos_3t
-        )
-    q.append(q[0] + TWO_PI * k0)  # Q(t + 2*pi) = Q(t) + 2*pi*k0
-    return sum(map(abs, map(operator.sub, q[1:], q)))
+
+def _columns(fn, *columns) -> np.ndarray:
+    """A math/cmath function applied per element, as a float array."""
+    return np.frompyfunc(fn, len(columns), 1)(*columns).astype(float)
+
+
+def _atan2_columns(s: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return _columns(math.atan2, s, c)
+
+
+def _cut_integrals(p1, p2, zeros: np.ndarray) -> np.ndarray:
+    """The tail of ``_abs_product_integral`` for rows whose zeros of p1,
+    ``zeros`` (M, k), are known: add the zeros of p2, sort, sum."""
+    cuts = np.concatenate([zeros, np.stack(_line_zeros(*p2, _atan2_columns), axis=1)], axis=1)
+    cuts = np.sort(cuts % TWO_PI, axis=1)
+    k = _antiderivative_coefficients(p1, p2)
+    # all cuts of all rows at once; then Q per cut is a column
+    (q,) = _antiderivative(tuple(col[:, None] for col in k), [cuts], np.cos, np.sin)
+    return _variation(k[0], list(q.T))
+
+
+def _abs_product_integrals(p1, p2) -> np.ndarray:
+    """``_abs_product_integral`` of every row of coefficient columns, bit
+    for bit.
+
+    Each row is cut where the scalar function cuts it.  hypot, atan2 and
+    the root arguments go through the math/cmath functions themselves
+    (numpy's differ in the last bit), the companion matrices are built from
+    ``_companion_top`` and solved in one stacked ``eigvals`` call, and every
+    sum runs in the scalar order.  Rows with non-finite coefficients or
+    companion entries are handed to the scalar function, so they give NaN
+    or fail exactly as it does.
+    """
+    c1, s1, c2, s2, a, b = np.broadcast_arrays(*p1, *p2)
+
+    def rows(mask):
+        return (c1[mask], s1[mask], c2[mask], s2[mask]), (a[mask], b[mask])
+
+    out = np.zeros(c1.shape)
+    h1 = _columns(math.hypot, c1, s1)
+    h2 = _columns(math.hypot, c2, s2)
+    live = (a != 0.0) | (b != 0.0)
+    regular = live & np.isfinite(np.stack([c1, s1, c2, s2, a, b, h1 + h2])).all(axis=0)
+    quartic = regular & (h2 > SECOND_HARMONIC_CUTOFF * h1)
+    if quartic.any():
+        companions = np.empty((np.count_nonzero(quartic), 4, 4), dtype=complex)
+        p1_rows = zip(*(col.tolist() for col in rows(quartic)[0]))
+        companions[:, 0] = [_companion_top(*row) for row in p1_rows]
+        companions[:, 1:] = _COMPANION_SHIFT
+        # eigvals refuses non-finite matrices: leave those rows to the scalar function
+        finite = np.isfinite(companions).all(axis=(1, 2))
+        regular[np.flatnonzero(quartic)[~finite]] = False
+        quartic &= regular
+        if quartic.any():
+            zeros = _columns(cmath.phase, np.linalg.eigvals(companions[finite]))
+            out[quartic] = _cut_integrals(*rows(quartic), zeros)
+    # h1 == 0 here means p1 == 0, whose integral stays 0
+    line = regular & ~quartic & (h1 != 0.0)
+    if line.any():
+        zeros = np.stack(_line_zeros(c1[line], s1[line], _atan2_columns), axis=1)
+        out[line] = _cut_integrals(*rows(line), zeros)
+    for i in np.flatnonzero(live & ~regular):
+        out[i] = _abs_product_integral(*(tuple(map(float, col)) for col in rows(i)))
+    return out
 
 
 class GridEvaluator:
@@ -204,6 +324,11 @@ class GridEvaluator:
     that table with no grid; ``profiles`` samples the same table on the
     ``n_samples`` grid, and the test suite checks it against the
     term-by-term functions of ``mechanism``.
+
+    Calling the evaluator on one point (``total``) runs the scalar kernel,
+    the fast one for single points.  ``batch`` scores a population (N, 4)
+    in one vectorized pass and returns, bit for bit, what ``total`` returns
+    for each row.
     """
 
     def __init__(self, cfg: MechanismConfig, spec: ObjectiveSpec):
@@ -237,13 +362,13 @@ class GridEvaluator:
         self._arm_1 = cfg.a_1
         self._arm_2 = cfg.a_1 + cfg.a_2
 
-    def coefficients(self, dv: DecisionVector):
-        """Rows (p1, p2, p3, p4) of harmonic coefficients for one
-        counterweight choice; p2 and p3 carry the first harmonic only."""
-        g1 = dv.m_1 * self._k1
-        g2 = dv.m_2 * self._k2
-        c_1, s_1 = g1 * math.cos(dv.phi_1), g1 * math.sin(dv.phi_1)
-        c_2, s_2 = g2 * math.cos(dv.phi_2), g2 * math.sin(dv.phi_2)
+    def _rows(self, m_1, m_2, phi_1, phi_2, cos, sin):
+        """Rows (p1, p2, p3, p4) for floats (with math's cos/sin) or for
+        columns (with numpy's), by the same operations in the same order."""
+        g1 = m_1 * self._k1
+        g2 = m_2 * self._k2
+        c_1, s_1 = g1 * cos(phi_1), g1 * sin(phi_1)
+        c_2, s_2 = g2 * cos(phi_2), g2 * sin(phi_2)
         fc, fs = c_1 + c_2, s_1 + s_2
         mc = self._arm_1 * c_1 + self._arm_2 * c_2
         ms = self._arm_1 * s_1 + self._arm_2 * s_2
@@ -254,6 +379,11 @@ class GridEvaluator:
             (b3[0] + ms, b3[1] + mc),
             (b4[0] + mc, b4[1] - ms, b4[2], b4[3]),
         )
+
+    def coefficients(self, dv: DecisionVector):
+        """Rows (p1, p2, p3, p4) of harmonic coefficients for one
+        counterweight choice; p2 and p3 carry the first harmonic only."""
+        return self._rows(dv.m_1, dv.m_2, dv.phi_1, dv.phi_2, math.cos, math.sin)
 
     def profiles(self, dv: DecisionVector):
         """(p1, p2, p3, p4) arrays over the ``n_samples`` grid."""
@@ -276,17 +406,47 @@ class GridEvaluator:
     def total(self, x: np.ndarray) -> float:
         return self.breakdown(DecisionVector.from_array(x)).total
 
+    __call__ = total
+
+    def batch(self, X) -> np.ndarray:
+        """``total`` of every row of X (N, 4), bit for bit, as an (N,) array.
+
+        The first row with a negative mass raises the ValueError that
+        ``total`` raises for it.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != 4:
+            raise ValueError(f"decision points must have shape (N, 4), got {X.shape}")
+        negative = (X[:, 0] < 0) | (X[:, 1] < 0)
+        if negative.any():
+            DecisionVector.from_array(X[np.argmax(negative)])
+        spec = self.spec
+        # Python floats overflow to inf and nan without a warning; so does this
+        with np.errstate(all="ignore"):
+            # phases wrapped as DecisionVector wraps them
+            p1, p2, p3, p4 = self._rows(
+                X[:, 0], X[:, 1], X[:, 2] % TWO_PI, X[:, 3] % TWO_PI, np.cos, np.sin
+            )
+            raw = (
+                _half_square_integral(p1) + _half_square_integral(p2)
+                + _abs_product_integrals(p1, p2)
+            )
+            violation = _positive_part(_half_square_integral(p3) - spec.c1_max) / spec.c1_max + (
+                _positive_part(_half_square_integral(p4) - spec.c2_max) / spec.c2_max
+            )
+            return raw + spec.penalty_weight * violation
+
 
 def evaluate(cfg: MechanismConfig, dv: DecisionVector, spec: ObjectiveSpec) -> CostBreakdown:
     """Full cost breakdown of one counterweight choice."""
     return GridEvaluator(cfg, spec).breakdown(dv)
 
 
-def make_objective(cfg: MechanismConfig, spec: ObjectiveSpec):
-    """Scalar callback x -> penalized total for the optimizers, with the
-    per-config coefficient table shared across calls."""
-    return GridEvaluator(cfg, spec).total
-
+def make_objective(cfg: MechanismConfig, spec: ObjectiveSpec) -> GridEvaluator:
+    """Objective for the optimizers over one shared coefficient table:
+    callable on one point x -> penalized total, and ``.batch`` on a
+    population."""
+    return GridEvaluator(cfg, spec)
 
 def calibrate_bounds(
     cfg: MechanismConfig,

@@ -25,6 +25,7 @@ from .common import (
     RunRecorder,
     RunResult,
     TrackedObjective,
+    require_finite,
     substream,
 )
 
@@ -36,6 +37,7 @@ class AbcParams:
     limit: int = 100
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.food_sources < 2:
             raise ValueError(f"food_sources must be >= 2 (got {self.food_sources})")
         if self.iterations < 1:

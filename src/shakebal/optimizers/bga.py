@@ -23,6 +23,7 @@ from .common import (
     RunRecorder,
     RunResult,
     TrackedObjective,
+    require_finite,
     substream,
 )
 
@@ -38,6 +39,7 @@ class BgaParams:
     elitism: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.population < 2 or self.population % 2 != 0:
             raise ValueError(f"population must be even and >= 2 (got {self.population})")
         if self.iterations < 1:
@@ -57,23 +59,27 @@ class BgaParams:
 
 
 def decode_bits(bits: np.ndarray, bounds: Bounds, bits_per_variable: int) -> np.ndarray:
-    """Decode one chromosome (bool array, MSB first per variable) to a point."""
+    """Decode a chromosome (bool array (L,), MSB first per variable) to a
+    point (d,), or a population (N, L) to points (N, d)."""
     nb = bits_per_variable
     scale = float((1 << nb) - 1)
     weights = (2.0 ** np.arange(nb - 1, -1, -1))
-    ints = bits.reshape(bounds.dimension, nb).astype(float) @ weights
+    # sums of distinct powers of two below 2**32: exact in any order
+    ints = bits.reshape(*bits.shape[:-1], bounds.dimension, nb).astype(float) @ weights
     return bounds.lower + ints / scale * bounds.width
 
 
 def encode_point(x: np.ndarray, bounds: Bounds, bits_per_variable: int) -> np.ndarray:
-    """Encode a point to the nearest chromosome (inverse of decode_bits)."""
+    """Encode a point (d,) to the nearest chromosome (L,), or points (N, d)
+    to chromosomes (N, L) (inverse of decode_bits)."""
     nb = bits_per_variable
     scale = (1 << nb) - 1
     width = bounds.width
     frac = (np.asarray(x, dtype=float) - bounds.lower) / np.where(width > 0, width, 1.0)
     ints = np.minimum(np.maximum(np.rint(frac * scale).astype(np.int64), 0), scale)
     shifts = np.arange(nb - 1, -1, -1)  # MSB first
-    return ((ints[:, None] >> shifts) & 1).astype(bool).ravel()
+    bits = ((ints[..., None] >> shifts) & 1).astype(bool)
+    return bits.reshape(*ints.shape[:-1], -1)
 
 
 def rank_probabilities(costs: np.ndarray) -> np.ndarray:
@@ -136,11 +142,8 @@ def optimize_bga(
     if init_points is None:
         bits = rng_init.random((pop, length)) < 0.5
     else:
-        bits = np.array(
-            [encode_point(p, bounds, nb) for p in np.asarray(init_points, dtype=float)]
-        ).reshape(pop, length)
-    points = np.array([decode_bits(b, bounds, nb) for b in bits])
-    costs = np.array([tracked(p) for p in points])
+        bits = encode_point(np.asarray(init_points, dtype=float), bounds, nb).reshape(pop, length)
+    costs = tracked.batch(decode_bits(bits, bounds, nb))
     recorder.checkpoint_initial()
 
     cut_positions = np.arange(1, length)
@@ -162,8 +165,7 @@ def optimize_bga(
                 next_bits.append(child_b)
 
         bits = np.array(next_bits)
-        points = np.array([decode_bits(b, bounds, nb) for b in bits])
-        costs = np.array([tracked(p) for p in points])
+        costs = tracked.batch(decode_bits(bits, bounds, nb))
         recorder.checkpoint_iteration()
 
     return recorder.finish("bga", seed)

@@ -1,14 +1,21 @@
 """Shared pieces of the four derivative-free minimizers.
 
-Every optimizer takes a scalar objective callback, a box, a params
-dataclass and a seed, and returns a :class:`RunResult`.  Randomness comes
-from counter-based Philox streams derived per run and per phase, so a run
-is bit-for-bit reproducible from its seed and adding a new random-consuming
-phase cannot perturb the existing draw sequence.
+Every optimizer takes an objective, a box, a params dataclass and a seed,
+and returns a :class:`RunResult`.  The objective is a callable
+x (d,) -> float.  It may also carry ``batch``, X (N, d) -> (N,) values
+equal to calling it on each row; PSO, BGA and HGAPSO then score each
+generation in one ``batch`` call, through :meth:`TrackedObjective.batch`;
+ABC's moves are sequential and it calls the objective one point at a time.
+
+Randomness comes from counter-based Philox streams derived per run and per
+phase, so a run is bit-for-bit reproducible from its seed and adding a new
+random-consuming phase cannot perturb the existing draw sequence.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -22,6 +29,15 @@ SEARCH_STREAM = 1
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent Philox stream for one phase of one seeded run."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
+
+
+def require_finite(obj) -> None:
+    """Reject NaN and infinity in the float fields of a dataclass; a NaN
+    would pass every range check after this one."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite (got {value})")
 
 
 class NonFiniteObjectiveError(RuntimeError):
@@ -100,8 +116,8 @@ class RunResult:
 
 
 class TrackedObjective:
-    """Wraps the raw callback: counts calls, keeps the incumbent, rejects
-    non-finite values with a diagnostic naming the offending point."""
+    """Wraps the raw objective: counts evaluations, keeps the incumbent,
+    rejects non-finite values with a diagnostic naming the offending point."""
 
     __slots__ = ("fn", "evaluations", "best_f", "best_x")
 
@@ -120,6 +136,28 @@ class TrackedObjective:
             self.best_f = value
             self.best_x = np.array(x, dtype=float)
         return value
+
+    def batch(self, X: np.ndarray) -> np.ndarray:
+        """Values of the rows of X (N, d), taken in row order: the counts,
+        the incumbent (first strict improvement) and the non-finite error
+        are those of calling this object on each row in turn.  Uses the
+        objective's own ``batch`` when it has one."""
+        X = np.asarray(X, dtype=float)
+        fn_batch = getattr(self.fn, "batch", None)
+        if fn_batch is None:
+            return np.array([self(x) for x in X])
+        values = np.asarray(fn_batch(X), dtype=float)
+        finite = np.isfinite(values)
+        n_ok = values.size if finite.all() else int(np.argmin(finite))
+        self.evaluations += n_ok
+        if n_ok:
+            k = int(np.argmin(values[:n_ok]))
+            if values[k] < self.best_f:
+                self.best_f = float(values[k])
+                self.best_x = X[k].copy()
+        if n_ok < values.size:
+            raise NonFiniteObjectiveError(X[n_ok], float(values[n_ok]))
+        return values
 
 
 class RunRecorder:

@@ -32,6 +32,7 @@ from .common import (
     RunRecorder,
     RunResult,
     TrackedObjective,
+    require_finite,
     substream,
 )
 from .pso import PsoParams, inertia_weight
@@ -48,6 +49,7 @@ class HgapsoParams:
     bga: BgaParams = field(default_factory=BgaParams)
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.population < 2:
             raise ValueError(f"population must be >= 2 (got {self.population})")
         if self.iterations < 1:
@@ -90,7 +92,7 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
 
     x = bounds.lerp(rng_init.random((pop, d)))
     v = (rng_init.random((pop, d)) * 2.0 - 1.0) * v_max
-    f = np.array([tracked(xi) for xi in x])
+    f = tracked.batch(x)
     pbest_x = x.copy()
     pbest_f = f.copy()
     recorder.checkpoint_initial()
@@ -102,45 +104,41 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
         swarm_best = x[order[0]].copy()
         probs = rank_probabilities(f)
 
-        new_x = np.empty_like(x)
-        new_v = np.zeros_like(v)
-        new_pbest_x = np.empty_like(pbest_x)
-        new_pbest_f = np.empty(pop)
-        slot = 0
+        # elites, in rank order: one PSO step each; u[:, 0] and u[:, 1]
+        # are the per-elite (U1, U2) pairs, drawn in the same order
+        elite = order[:n_elite]
+        u = rng.random((n_elite, 2, d))
+        v_elite = w * v[elite] + params.pso.c1 * u[:, 0] * (pbest_x[elite] - x[elite]) + (
+            params.pso.c2 * u[:, 1] * (swarm_best - x[elite])
+        )
+        v_elite = np.clip(v_elite, -v_max, v_max)
 
-        for i in order[:n_elite]:
-            u1 = rng.random(d)
-            u2 = rng.random(d)
-            vi = w * v[i] + params.pso.c1 * u1 * (pbest_x[i] - x[i]) + params.pso.c2 * u2 * (
-                swarm_best - x[i]
-            )
-            vi = np.clip(vi, -v_max, v_max)
-            new_x[slot] = bounds.clip(x[i] + vi)
-            new_v[slot] = vi
-            new_pbest_x[slot] = pbest_x[i]
-            new_pbest_f[slot] = pbest_f[i]
-            slot += 1
-
-        while slot < pop:
+        # offspring fill the remaining slots, bred from the encoded population
+        genomes = encode_point(x, bounds, nb)
+        children = []
+        while n_elite + len(children) < pop:
             ia, ib = rng.choice(pop, size=2, p=probs)
-            bits_a = encode_point(x[ia], bounds, nb)
-            bits_b = encode_point(x[ib], bounds, nb)
+            bits_a, bits_b = genomes[ia].copy(), genomes[ib].copy()
             if rng.random() < params.bga.crossover_prob:
                 cuts = rng.choice(cut_positions, size=params.bga.crossover_points, replace=False)
                 bits_a, bits_b = multipoint_crossover(bits_a, bits_b, cuts)
             bits_a ^= rng.random(length) < p_mut
             bits_b ^= rng.random(length) < p_mut
-            for bits in (bits_a, bits_b):
-                if slot >= pop:
-                    break
-                child = decode_bits(bits, bounds, nb)
-                new_x[slot] = child
-                new_pbest_x[slot] = child
-                new_pbest_f[slot] = np.inf
-                slot += 1
+            children += [bits_a, bits_b][: pop - n_elite - len(children)]
+
+        new_x = np.empty_like(x)
+        new_x[:n_elite] = bounds.clip(x[elite] + v_elite)
+        new_v = np.zeros_like(v)
+        new_v[:n_elite] = v_elite
+        new_pbest_x = np.empty_like(pbest_x)
+        new_pbest_x[:n_elite] = pbest_x[elite]
+        new_pbest_f = np.full(pop, np.inf)
+        new_pbest_f[:n_elite] = pbest_f[elite]
+        if children:
+            new_x[n_elite:] = new_pbest_x[n_elite:] = decode_bits(np.array(children), bounds, nb)
 
         x, v, pbest_x, pbest_f = new_x, new_v, new_pbest_x, new_pbest_f
-        f = np.array([tracked(xi) for xi in x])
+        f = tracked.batch(x)
         improved = f < pbest_f
         pbest_x[improved] = x[improved]
         pbest_f[improved] = f[improved]

@@ -30,6 +30,7 @@ from .common import (
     RunRecorder,
     RunResult,
     TrackedObjective,
+    require_finite,
     substream,
 )
 
@@ -45,6 +46,7 @@ class PsoParams:
     v_max_fraction: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.population < 1:
             raise ValueError(f"population must be >= 1 (got {self.population})")
         if self.iterations < 1:
@@ -95,7 +97,7 @@ def optimize_pso(
     tracked = TrackedObjective(objective)
     recorder = RunRecorder(tracked)
 
-    f = np.array([tracked(xi) for xi in x])
+    f = tracked.batch(x)
     pbest_x = x.copy()
     pbest_f = f.copy()
     g = int(np.argmin(pbest_f))
@@ -110,7 +112,7 @@ def optimize_pso(
         v = w * v + params.c1 * u1 * (pbest_x - x) + params.c2 * u2 * (gbest_x - x)
         v = np.clip(v, -v_max, v_max)
         x = bounds.clip(x + v)
-        f = np.array([tracked(xi) for xi in x])
+        f = tracked.batch(x)
 
         improved = f < pbest_f
         pbest_x[improved] = x[improved]

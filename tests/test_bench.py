@@ -85,7 +85,7 @@ def test_failed_runs_stay_in_the_table():
         objective=ObjectiveSpec(
             n_samples=64,
             bounds=default_search_bounds(MechanismConfig()),
-            penalty_weight=np.inf,  # any infeasible point aborts the run
+            penalty_weight=1e308,  # any infeasible point costs inf and aborts the run
             c1_max=1e-12,
             c2_max=1e-12,
         ),
@@ -95,6 +95,20 @@ def test_failed_runs_stay_in_the_table():
     assert all(r.status == "failed" for r in rows)
     assert all(r.total_cost is None for r in rows)
     assert [r.seed for r in rows] == [1, 2]
+
+
+def test_failed_run_records_its_reason(tmp_path):
+    plan = tiny_plan(
+        algorithms=("pso",),
+        repeats=1,
+        objective=ObjectiveSpec(n_samples=64, penalty_weight=1e308, c1_max=1e-12, c2_max=1e-12),
+    )
+    (row,) = run_plan(plan)
+    assert row.status == "failed"
+    assert row.error.startswith("NonFiniteObjectiveError: objective returned non-finite value inf")
+    # the reason is not part of the pinned results.csv schema
+    write_results([row], tmp_path / "results.csv")
+    assert parse_results(tmp_path / "results.csv")[0].error is None
 
 
 def test_summarize_basics():

@@ -126,6 +126,32 @@ def test_bench_writes_all_outputs(fast_cfg, tmp_path, capsys):
         assert float(s["best"]) <= float(s["average"]) <= float(s["worst"])
 
 
+def test_bench_rejects_a_non_finite_config_value(tmp_path, capsys):
+    bad = tmp_path / "nan.cfg"
+    bad.write_text(FAST_CFG + "mechanism.omega = nan\n")
+    assert main(["bench", "--config", str(bad), "--out", str(tmp_path / "b"), "--jobs", "1"]) == 1
+    assert "mechanism.omega" in capsys.readouterr().err
+    assert not (tmp_path / "b" / "results.csv").exists()
+
+
+def test_bench_says_why_each_run_failed(tmp_path, capsys):
+    cfg = tmp_path / "doomed.cfg"
+    # every point is infeasible, and its penalty overflows to inf
+    cfg.write_text(FAST_CFG + "objective.penalty_weight = 1e308\nobjective.c1_max = 1e-12\n")
+    out = tmp_path / "b"
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4  # one per run
+    assert lines[0].startswith(
+        "warning: pso@10 experiment 1 (seed 1) failed: NonFiniteObjectiveError: "
+    )
+    assert all("NonFiniteObjectiveError" in line for line in lines)
+    with open(out / "results.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[-1] == "status"
+    assert [r[-1] for r in rows] == ["failed"] * 4
+
+
 def test_profile_reads_named_solutions(fast_cfg, tmp_path):
     solutions = tmp_path / "solutions.csv"
     solutions.write_text(

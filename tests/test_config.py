@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from shakebal.config import AppConfig, ConfigError, parse_config
+from shakebal.config import AppConfig, BenchSettings, ConfigError, parse_config
+from shakebal.mechanism import MechanismConfig
 from shakebal.objective import DEFAULT_C1_MAX
 
 
@@ -109,3 +110,49 @@ def test_hgapso_reuses_operator_settings(tmp_path):
     cfg = load(tmp_path, "pso.c1 = 0.5\nbga.bits_per_variable = 12\n")
     assert cfg.hgapso.pso.c1 == 0.5
     assert cfg.hgapso.bga.bits_per_variable == 12
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        "mechanism.omega", "mechanism.m_c", "mechanism.alpha", "mechanism.theta_0",
+        "objective.c1_max", "objective.penalty_weight", "objective.m1_max", "objective.phi2_min",
+        "pso.c1", "pso.w_min", "bga.crossover_prob", "bga.mutation_prob_per_bit",
+        "hgapso.breeding_ratio",
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_values_are_rejected(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+        load(tmp_path, f"{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key", ["pso.population", "abc.limit", "bench.repeats", "bench.base_seed"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_integers_are_rejected(tmp_path, key, value):
+    with pytest.raises(ConfigError, match="expected an integer"):
+        load(tmp_path, f"{key} = {value}\n")
+
+
+def test_dataclasses_reject_non_finite_values():
+    with pytest.raises(ValueError, match="omega must be finite"):
+        MechanismConfig(omega=math.nan)
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        MechanismConfig(alpha=math.inf)
+    with pytest.raises(ValueError, match="repeats must be finite"):
+        BenchSettings(repeats=math.nan)
+    with pytest.raises(ValueError, match="base_seed must be finite"):
+        BenchSettings(base_seed=math.inf)
+
+
+def test_negative_mass_bound_is_rejected(tmp_path):
+    path = tmp_path / "neg.cfg"
+    path.write_text("objective.c1_max = 1e5\nobjective.m1_min = -1\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    message = str(err.value)
+    assert ":2:" in message
+    assert "objective.m1_min" in message
+    assert "must be >= 0" in message
+    with pytest.raises(ConfigError, match="objective.m2_min"):
+        load(tmp_path, "objective.m2_min = -0.5\n")

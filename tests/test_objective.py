@@ -124,9 +124,9 @@ def test_exact_cost_matches_oracle_on_degenerate_profiles():
     assert_matches_oracle({**DEFAULT_PARAMS, "m_c": 0.0, "m_p": 0.0, "m_0": 0.0})
 
 
-def test_exact_cost_matches_oracle_when_p1_touches_zero():
-    # With m_c = m_0 = m_2 = 0, counterweight 1 sets the first harmonic of
-    # p1 freely: choose it so that p1 has a double zero at t_star.
+def tangent_zero_params() -> dict:
+    """With m_c = m_0 = m_2 = 0, counterweight 1 sets the first harmonic of
+    p1 freely: choose it so that p1 has a double zero at t = 2.2."""
     p = {**DEFAULT_PARAMS, "m_c": 0.0, "m_0": 0.0, "theta_0": 0.9}
     t_star = 2.2
     w2 = p["omega"] ** 2
@@ -143,6 +143,13 @@ def test_exact_cost_matches_oracle_when_p1_touches_zero():
     x = c1 - slider * (1 + math.cos(t0))
     y = -(s1 + slider * math.sin(t0))
     p.update(m_1=math.hypot(x, y) / (p["r_1"] * w2), phi_1=math.atan2(y, x) % (2 * math.pi))
+    return p
+
+
+def test_exact_cost_matches_oracle_when_p1_touches_zero():
+    p = tangent_zero_params()
+    t_star = 2.2
+    w2 = p["omega"] ** 2
     cfg = MechanismConfig(**{k: p[k] for k in CFG_KEYS})
     dv = DecisionVector(**{k: p[k] for k in DV_KEYS})
     touch = profile_arrays(cfg, dv, np.array([t_star - 1e-4, t_star, t_star + 1e-4]))[0]
@@ -244,6 +251,113 @@ def test_spec_validation():
         ObjectiveSpec(penalty_weight=-1.0)
     with pytest.raises(ValueError, match="lower"):
         Bounds(np.array([1.0]), np.array([0.0]))
+
+
+def test_spec_rejects_non_finite_values_and_negative_mass_bounds():
+    for field in ("c1_max", "c2_max", "penalty_weight"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                ObjectiveSpec(**{field: bad})
+    box = default_search_bounds()
+    for j, name in ((0, "m1_min"), (1, "m2_min")):
+        lower = box.lower.copy()
+        lower[j] = -1.0
+        with pytest.raises(ValueError, match=name):
+            ObjectiveSpec(bounds=Bounds(lower, box.upper))
+
+
+# ----------------------------------------------------------------------
+# GridEvaluator.batch
+# ----------------------------------------------------------------------
+
+def assert_batch_matches_total(cfg: MechanismConfig, X: np.ndarray, spec=None) -> None:
+    """batch(X) is [total(x) for x in X] bit for bit; NaN in the same rows."""
+    evaluator = GridEvaluator(cfg, spec or ObjectiveSpec())
+    got = evaluator.batch(X)
+    want = np.array([evaluator.total(x) for x in X])
+    assert got.shape == want.shape == (len(X),)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    assert list(map(float.hex, got[keep].tolist())) == list(map(float.hex, want[keep].tolist()))
+
+
+def population_with_faces(rng, bounds: Bounds, n: int = 120) -> np.ndarray:
+    """Uniform points, with rows on every face of the box: m in {0, max},
+    phi in {0, 2*pi}, and both masses 0."""
+    X = bounds.lerp(rng.random((n, 4)))
+    for j in range(4):
+        X[8 * j: 8 * j + 4, j] = bounds.lower[j]
+        X[8 * j + 4: 8 * j + 8, j] = bounds.upper[j]
+    X[32:36, :2] = 0.0
+    return X
+
+
+def test_batch_matches_total_on_random_mechanisms():
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        params = random_params(rng)
+        for key in ("m_c", "m_p", "m_0"):
+            if rng.random() < 1 / 3:
+                params[key] = 0.0
+        cfg = MechanismConfig(**{k: params[k] for k in CFG_KEYS})
+        # default spec for the penalty branch, loose bounds for the raw cost
+        X = population_with_faces(rng, default_search_bounds(cfg))
+        assert_batch_matches_total(cfg, X)
+        assert_batch_matches_total(cfg, X, ObjectiveSpec(c1_max=1e30, c2_max=1e30))
+
+
+def test_batch_matches_total_on_degenerate_profiles():
+    rng = np.random.default_rng(22)
+    for overrides in (
+        {"m_p": 0.0},  # no second harmonic in p1
+        {"theta_0": math.pi / 2},  # the slider second harmonics cancel
+        {"m_c": 0.0, "m_0": 0.0},  # p2 == 0 on the rows with both masses 0
+        {"m_c": 0.0, "m_p": 0.0, "m_0": 0.0},  # the zero mechanism
+    ):
+        cfg = MechanismConfig(**overrides)
+        assert_batch_matches_total(cfg, population_with_faces(rng, default_search_bounds(cfg)))
+
+
+def test_batch_matches_total_at_a_tangent_zero():
+    p = tangent_zero_params()
+    cfg = MechanismConfig(**{k: p[k] for k in CFG_KEYS})
+    x = np.array([p[k] for k in DV_KEYS])
+    # the tangent point itself and points a few ulps to either side
+    X = np.array([x, np.nextafter(x, 0.0), np.nextafter(x, 10.0)])
+    assert_batch_matches_total(cfg, X)
+
+
+def test_batch_matches_total_on_non_finite_rows():
+    spec = ObjectiveSpec()
+    X = population_with_faces(np.random.default_rng(23), spec.bounds, n=40)
+    X[1, 0] = math.nan
+    X[2, 2] = math.inf
+    X[3, 1] = math.inf
+    X[4, 3] = -math.inf
+    assert_batch_matches_total(MechanismConfig(), X)
+    # a finite mechanism whose coefficient table overflows
+    assert_batch_matches_total(MechanismConfig(omega=1e150), X[5:])
+
+
+def test_batch_raises_the_scalar_error_on_negative_mass():
+    evaluator = GridEvaluator(MechanismConfig(), ObjectiveSpec())
+    X = np.array([[0.1, 0.1, 1.0, 1.0], [0.1, -0.5, 1.0, 1.0], [-1.0, 0.1, 1.0, 1.0]])
+    with pytest.raises(ValueError) as scalar:
+        evaluator.total(X[1])
+    with pytest.raises(ValueError) as batched:
+        evaluator.batch(X)
+    assert str(batched.value) == str(scalar.value) == "m_2 must be >= 0 (got -0.5)"
+    with pytest.raises(ValueError, match="shape"):
+        evaluator.batch(X[0])
+
+
+def test_make_objective_is_the_evaluator():
+    cfg = MechanismConfig()
+    spec = ObjectiveSpec()
+    fn = make_objective(cfg, spec)
+    X = spec.bounds.lerp(np.random.default_rng(24).random((5, 4)))
+    want = [evaluate(cfg, DecisionVector.from_array(x), spec).total for x in X]
+    assert fn.batch(X).tolist() == want
 
 
 # ----------------------------------------------------------------------

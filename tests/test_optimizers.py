@@ -4,6 +4,8 @@ for the four minimizers."""
 import numpy as np
 import pytest
 
+from shakebal.mechanism import MechanismConfig
+from shakebal.objective import ObjectiveSpec, make_objective
 from shakebal.optimizers import (
     AbcParams,
     BgaParams,
@@ -21,6 +23,7 @@ from shakebal.optimizers import (
     optimize_pso,
     selection_probabilities,
 )
+from shakebal.optimizers.common import TrackedObjective
 from shakebal.testfns import hypercube_bounds, rastrigin, sphere
 
 BOX = hypercube_bounds(4)
@@ -90,6 +93,22 @@ def test_encode_decode_roundtrip_within_grid_step():
         x = BOX.lerp(rng.random(4))
         back = decode_bits(encode_point(x, BOX, nb), BOX, nb)
         assert np.all(np.abs(back - x) <= step / 2 + 1e-12)
+
+
+def test_codec_on_a_population_matches_row_by_row():
+    rng = np.random.default_rng(2)
+    nb = 12
+    # out-of-box points clip to the faces; a zero-width dimension encodes to 0
+    points = BOX.lerp(rng.uniform(-0.1, 1.1, (30, 4)))
+    flat = hypercube_bounds(4)
+    flat.upper[2] = flat.lower[2]
+    for box in (BOX, flat):
+        bits = encode_point(points, box, nb)
+        assert bits.shape == (30, 4 * nb)
+        assert np.array_equal(bits, np.array([encode_point(x, box, nb) for x in points]))
+        decoded = decode_bits(bits, box, nb)
+        assert decoded.shape == (30, 4)
+        assert np.array_equal(decoded, np.array([decode_bits(b, box, nb) for b in bits]))
 
 
 def test_identical_population_without_mutation_is_frozen():
@@ -170,6 +189,72 @@ def test_non_finite_objective_aborts_with_diagnostic(name):
     assert err.value.point.shape == (4,)
 
 
+class CountedBatches:
+    """An objective with a ``batch`` that counts its calls: the wrapped
+    objective's own ``batch`` if it has one, else a row loop."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.batches = 0
+
+    def __call__(self, x):
+        return self.fn(x)
+
+    def batch(self, X):
+        self.batches += 1
+        if hasattr(self.fn, "batch"):
+            return self.fn.batch(X)
+        return np.array([self.fn(x) for x in X])
+
+
+def tracked_state(tracked: TrackedObjective):
+    best_x = None if tracked.best_x is None else tracked.best_x.tolist()
+    return tracked.evaluations, tracked.best_f, best_x
+
+
+def test_tracked_batch_matches_the_row_loop():
+    rng = np.random.default_rng(6)
+    batched = TrackedObjective(CountedBatches(sphere))
+    looped = TrackedObjective(lambda x: sphere(x))
+    for _ in range(5):
+        X = np.round(rng.uniform(-2.0, 2.0, (9, 4)))  # rounded: ties in value
+        assert np.array_equal(batched.batch(X), looped.batch(X))
+        assert tracked_state(batched) == tracked_state(looped)
+    assert batched.fn.batches == 5
+
+
+def test_tracked_batch_names_the_same_non_finite_row():
+    def poisoned(x):
+        return np.nan if x[0] > 1.5 else sphere(x)
+
+    X = np.linspace(-2.0, 2.0, 40).reshape(10, 4)
+    errors, states = [], []
+    for fn in (CountedBatches(poisoned), lambda x: poisoned(x)):
+        tracked = TrackedObjective(fn)
+        with pytest.raises(NonFiniteObjectiveError) as err:
+            tracked.batch(X)
+        errors.append((str(err.value), err.value.point.tolist()))
+        states.append(tracked_state(tracked))
+    assert errors[0] == errors[1]
+    assert states[0] == states[1]
+    assert states[0][0] == 9  # rows 0..8 evaluated before the poisoned row 9
+
+
+@pytest.mark.parametrize("name", ["pso", "bga", "hgapso"])
+def test_batched_objective_gives_the_scalar_run(name):
+    optimize, params = FAST[name]
+    spec = ObjectiveSpec()
+    objective = make_objective(MechanismConfig(), spec)
+    counted = CountedBatches(objective)
+    batched = optimize(counted, spec.bounds, params, seed=7)
+    scalar = optimize(lambda x: objective(x), spec.bounds, params, seed=7)
+    assert counted.batches == params.iterations + 1  # one call per generation
+    assert batched.best_f == scalar.best_f
+    assert np.array_equal(batched.best_x, scalar.best_x)
+    assert np.array_equal(batched.trace, scalar.trace)
+    assert batched.evaluations == scalar.evaluations
+
+
 def test_param_validation():
     with pytest.raises(ValueError, match="population"):
         PsoParams(population=0)
@@ -187,6 +272,24 @@ def test_param_validation():
         HgapsoParams(breeding_ratio=0.0)
     with pytest.raises(ValueError, match="breeding_ratio"):
         HgapsoParams(breeding_ratio=1.5)
+
+
+@pytest.mark.parametrize(
+    "factory, field",
+    [
+        (PsoParams, "c1"),
+        (PsoParams, "w_max"),
+        (PsoParams, "v_max_fraction"),
+        (AbcParams, "limit"),
+        (BgaParams, "crossover_prob"),
+        (BgaParams, "mutation_prob_per_bit"),
+        (HgapsoParams, "breeding_ratio"),
+    ],
+)
+def test_params_reject_non_finite_values(factory, field):
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            factory(**{field: bad})
 
 
 # ----------------------------------------------------------------------
