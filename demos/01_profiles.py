@@ -9,27 +9,26 @@ import math
 
 import numpy as np
 
-from shakebal import DecisionVector, MechanismConfig, sample_profile
+from shakebal import DecisionVector, MechanismConfig, profile_arrays, theta_grid
 
 cfg = MechanismConfig()
 print("mechanism:", cfg)
+theta = theta_grid(360)
 
-unbalanced = sample_profile(cfg, DecisionVector.zero(), 360)
-p1 = np.array([s.p1 for s in unbalanced])
-p2 = np.array([s.p2 for s in unbalanced])
-print(f"\nunbalanced, over one revolution (N / N*m):")
-print(f"  |p1| peak {np.abs(p1).max():9.2f}   |p2| peak {np.abs(p2).max():9.2f}")
-print(f"  |p3| peak {max(abs(s.p3) for s in unbalanced):9.2f}"
-      f"   |p4| peak {max(abs(s.p4) for s in unbalanced):9.2f}")
+
+def print_peaks(dv):
+    p1, p2, p3, p4 = (np.abs(p).max() for p in profile_arrays(cfg, dv, theta))
+    print(f"  |p1| peak {p1:9.2f}   |p2| peak {p2:9.2f}")
+    print(f"  |p3| peak {p3:9.2f}   |p4| peak {p4:9.2f}")
+
+
+print("\nunbalanced, over one revolution (N / N*m):")
+print_peaks(DecisionVector.zero())
 
 # cancel the unbalance m_0*R_0 with m_1*r_1 in antiphase on the same disk
 m_1 = cfg.m_0 * cfg.R_0 / cfg.r_1
 antiphase = DecisionVector(m_1=m_1, m_2=0.0, phi_1=cfg.alpha + math.pi, phi_2=0.0)
 print(f"\nantiphase counterweight: m_1 = {m_1:.3f} at phi_1 = {antiphase.phi_1:.3f} rad")
 
-balanced = sample_profile(cfg, antiphase, 360)
 print("after balancing (slider/crank forces remain, the unbalance is gone):")
-print(f"  |p1| peak {max(abs(s.p1) for s in balanced):9.2f}"
-      f"   |p2| peak {max(abs(s.p2) for s in balanced):9.2f}")
-print(f"  |p3| peak {max(abs(s.p3) for s in balanced):9.2f}"
-      f"   |p4| peak {max(abs(s.p4) for s in balanced):9.2f}")
+print_peaks(antiphase)

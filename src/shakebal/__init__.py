@@ -10,13 +10,13 @@ CLI fronts all of it.
 from .bench import ExperimentPlan, ResultRow, SummaryRow, run_plan, summarize
 from .mechanism import (
     DecisionVector,
-    DynamicsSample,
     MechanismConfig,
     force_x,
     force_y,
     moment_x,
     moment_y,
-    sample_profile,
+    profile_arrays,
+    theta_grid,
 )
 from .objective import (
     CostBreakdown,

@@ -61,17 +61,14 @@ def default_optimizer_params() -> dict:
 
 
 @dataclass
-class ExperimentPlan:
-    """One benchmark campaign: which algorithms, at which iteration
-    budgets, repeated how often, on which problem."""
+class BenchSettings:
+    """Which algorithms run, at which iteration budgets, how often, and
+    from which seed: the ``bench.*`` section of a config file."""
 
     algorithms: tuple[str, ...] = ALGORITHM_NAMES
     iteration_budgets: tuple[int, ...] = (200, 300)
     repeats: int = 10
     base_seed: int = 1
-    mechanism: MechanismConfig = field(default_factory=MechanismConfig)
-    objective: ObjectiveSpec = field(default_factory=ObjectiveSpec)
-    optimizer_params: dict = field(default_factory=default_optimizer_params)
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -79,15 +76,26 @@ class ExperimentPlan:
         self.iteration_budgets = tuple(int(b) for b in self.iteration_budgets)
         unknown = [a for a in self.algorithms if a not in OPTIMIZERS]
         if unknown:
-            raise ValueError(f"unknown algorithms {unknown}; choose from {sorted(OPTIMIZERS)}")
+            raise ValueError(
+                f"unknown algorithms {unknown}: algorithms contains unknown names;"
+                f" choose from {list(ALGORITHM_NAMES)}"
+            )
         if not self.algorithms:
             raise ValueError("algorithms must be non-empty")
-        if not self.iteration_budgets:
-            raise ValueError("iteration_budgets must be non-empty")
-        if any(b < 1 for b in self.iteration_budgets):
-            raise ValueError(f"iteration budgets must be >= 1 (got {self.iteration_budgets})")
+        if not self.iteration_budgets or any(b < 1 for b in self.iteration_budgets):
+            raise ValueError(f"iteration_budgets must be non-empty positive (got {self.iteration_budgets})")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1 (got {self.repeats})")
+
+
+@dataclass
+class ExperimentPlan(BenchSettings):
+    """One benchmark campaign: the bench settings plus the problem and the
+    optimizer parameters."""
+
+    mechanism: MechanismConfig = field(default_factory=MechanismConfig)
+    objective: ObjectiveSpec = field(default_factory=ObjectiveSpec)
+    optimizer_params: dict = field(default_factory=default_optimizer_params)
 
 
 @dataclass

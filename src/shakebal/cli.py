@@ -19,6 +19,7 @@ import csv
 import dataclasses
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -34,6 +35,21 @@ EXIT_RUN_FAILURE = 2
 
 class CliError(Exception):
     """Usage/config-level failure (exit code 1)."""
+
+
+@contextmanager
+def _flags(**flags: str):
+    """Report a library ValueError on a flag's value as a usage error;
+    ``flags`` maps each library parameter to its flag, and the first one
+    the message names is blamed."""
+    try:
+        yield
+    except ValueError as exc:
+        words = str(exc).split()
+        flag = next((f for name, f in flags.items() if name in words), None)
+        if flag is None:
+            raise
+        raise CliError(f"{flag}: {exc}") from None
 
 
 def _load_config(path: str | None) -> AppConfig:
@@ -68,8 +84,9 @@ def _run_params(config: AppConfig, algo: str, iters: int | None):
 
 def cmd_balance(args) -> int:
     config = _load_config(args.config)
+    with _flags(iterations="--iters"):
+        params = _run_params(config, args.algo, args.iters)
     targets = _prepare_outputs(args.out, ["convergence.csv", "polar.csv"], args.force)
-    params = _run_params(config, args.algo, args.iters)
 
     objective = bench_mod.make_objective(config.mechanism, config.objective)
     try:
@@ -115,13 +132,14 @@ def cmd_balance(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
-    c1_max, c2_max = calibrate_bounds(
-        config.mechanism,
-        config.objective.bounds,
-        n_random=args.samples,
-        fraction=args.fraction,
-        seed=args.seed,
-    )
+    with _flags(n_random="--samples", fraction="--fraction"):
+        c1_max, c2_max = calibrate_bounds(
+            config.mechanism,
+            config.objective.bounds,
+            n_random=args.samples,
+            fraction=args.fraction,
+            seed=args.seed,
+        )
     print(f"c1_max       {c1_max!r}")
     print(f"c2_max       {c2_max!r}")
     if args.write_config:
@@ -147,10 +165,7 @@ def cmd_bench(args) -> int:
         args.force,
     )
     plan = bench_mod.ExperimentPlan(
-        algorithms=config.bench.algorithms,
-        iteration_budgets=config.bench.iteration_budgets,
-        repeats=config.bench.repeats,
-        base_seed=config.bench.base_seed,
+        **vars(config.bench),
         mechanism=config.mechanism,
         objective=config.objective,
         optimizer_params=optimizer_params_map(config),
@@ -198,9 +213,10 @@ def cmd_profile(args) -> int:
     config = _load_config(args.config)
     solutions = _read_solutions(args.solutions)
     targets = _prepare_outputs(args.out, ["polar.csv"], args.force)
-    bench_mod.emit_polar(
-        config.mechanism, DecisionVector.zero(), solutions, args.samples, targets["polar.csv"]
-    )
+    with _flags(n_samples="--samples"):
+        bench_mod.emit_polar(
+            config.mechanism, DecisionVector.zero(), solutions, args.samples, targets["polar.csv"]
+        )
     print(f"wrote {targets['polar.csv']}")
     return EXIT_OK
 

@@ -14,38 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .bench import BenchSettings
 from .mechanism import MechanismConfig
 from .objective import ObjectiveSpec, default_search_bounds
-from .optimizers import ALGORITHM_NAMES, AbcParams, BgaParams, Bounds, HgapsoParams, PsoParams
-from .optimizers.common import require_finite
-
-TWO_PI = 2.0 * math.pi
+from .optimizers import AbcParams, BgaParams, Bounds, HgapsoParams, PsoParams
 
 
 class ConfigError(Exception):
     """Malformed or invalid config file."""
-
-
-@dataclass
-class BenchSettings:
-    algorithms: tuple[str, ...] = ALGORITHM_NAMES
-    iteration_budgets: tuple[int, ...] = (200, 300)
-    repeats: int = 10
-    base_seed: int = 1
-
-    def __post_init__(self) -> None:
-        require_finite(self)
-        self.algorithms = tuple(self.algorithms)
-        unknown = [a for a in self.algorithms if a not in ALGORITHM_NAMES]
-        if unknown:
-            raise ValueError(f"algorithms contains unknown names {unknown}")
-        if not self.algorithms:
-            raise ValueError("algorithms must be non-empty")
-        self.iteration_budgets = tuple(int(b) for b in self.iteration_budgets)
-        if not self.iteration_budgets or any(b < 1 for b in self.iteration_budgets):
-            raise ValueError(f"iteration_budgets must be non-empty positive (got {self.iteration_budgets})")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1 (got {self.repeats})")
 
 
 @dataclass

@@ -10,7 +10,10 @@ frame sees over one shaft revolution:
 
 Moments are taken about plane 1, so crank-slider 1 contributes no moment.
 Slider inertia acts along x only, hence the slider mass appears in p1 and
-p4 but not in p2 and p3.  All profiles are pure functions of their inputs.
+p4 but not in p2 and p3.  Each profile is a trigonometric polynomial of
+degree <= 2 in theta; the mechanism holds them once, as the coefficient
+table ``HarmonicTable``, from which the profile functions here and the
+cost in ``objective`` are read.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import numpy as np
 from .optimizers.common import require_finite
 
 TWO_PI = 2.0 * math.pi
+HALF_PI = 0.5 * math.pi
 
 
 def wrap_angle(angle: float) -> float:
@@ -52,7 +56,9 @@ class MechanismConfig:
     r_2      counterweight radius on disk 3
 
     The defaults are plausible lab-scale values; nothing downstream depends
-    on them other than through these fields.
+    on them other than through these fields.  ``table``, not a field, is
+    the mechanism's ``HarmonicTable``, built once on construction; a
+    mechanism whose table or zero-counterweight areas overflow is rejected.
     """
 
     m_c: float = 0.5
@@ -84,6 +90,18 @@ class MechanismConfig:
             raise ValueError(f"R/L must be <= 1 (got {self.R / self.L})")
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
         object.__setattr__(self, "theta_0", wrap_angle(self.theta_0))
+        # a coefficient is finite if its row's area is
+        try:
+            table = HarmonicTable(self)
+            sums = [*table.gains, *map(half_square_integral, table.base)]
+        except OverflowError:  # omega**2
+            sums = [math.inf]
+        if not all(map(math.isfinite, sums)):
+            raise ValueError(
+                f"omega = {self.omega!r} with these masses and lengths overflows the"
+                " profiles' harmonic coefficients or areas"
+            )
+        object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True)
@@ -120,107 +138,117 @@ class DecisionVector:
             raise ValueError(f"decision point must have shape (4,), got {x.shape}")
         return cls(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.m_1, self.m_2, self.phi_1, self.phi_2])
+
+class HarmonicTable:
+    """The four profiles as coefficients on (cos t, sin t, cos 2t, sin 2t).
+
+    A base row per profile from the config (``base``), plus the
+    counterweight terms u_j = m_j r_j omega**2 (cos phi_j, sin phi_j), with
+    the ``gains`` r_j omega**2, which enter the forces directly and the
+    moments on the ``arms`` a_1 and a_1 + a_2.  p2 and p3 carry the first
+    harmonic only: the sliders and their R/L second harmonic act along x.
+    The test suite checks the table against the independent term-by-term
+    oracle of ``tests/_oracles.py``.
+    """
+
+    def __init__(self, cfg: MechanismConfig):
+        w2 = cfg.omega**2
+        slider = cfg.m_p * cfg.R * w2
+        second = slider * cfg.R / cfg.L  # slider R/L harmonic
+        crank = cfg.m_c * cfg.R * w2
+        unbal_c = cfg.m_0 * cfg.R_0 * w2 * math.cos(cfg.alpha)
+        unbal_s = cfg.m_0 * cfg.R_0 * w2 * math.sin(cfg.alpha)
+        # crank-slider 2 runs at theta + theta_0
+        c_0, s_0 = math.cos(cfg.theta_0), math.sin(cfg.theta_0)
+        c_00, s_00 = math.cos(2 * cfg.theta_0), math.sin(2 * cfg.theta_0)
+        arm_3 = 2 * cfg.a_1 + cfg.a_2
+        self.base = (
+            (
+                slider + crank + unbal_c + (slider + crank) * c_0,
+                -unbal_s - (slider + crank) * s_0,
+                second * (1.0 + c_00),
+                -second * s_00,
+            ),
+            (unbal_s + crank * s_0, crank + unbal_c + crank * c_0),
+            (cfg.a_1 * unbal_s + arm_3 * crank * s_0, cfg.a_1 * unbal_c + arm_3 * crank * c_0),
+            (
+                cfg.a_1 * unbal_c + arm_3 * (slider + crank) * c_0,
+                -cfg.a_1 * unbal_s - arm_3 * (slider + crank) * s_0,
+                arm_3 * second * c_00,
+                -arm_3 * second * s_00,
+            ),
+        )
+        self.gains = (cfg.r_1 * w2, cfg.r_2 * w2)
+        self.arms = (cfg.a_1, cfg.a_1 + cfg.a_2)
+
+    def rows(self, m_1, m_2, phi_1, phi_2, cos, sin):
+        """Rows (p1, p2, p3, p4) for floats (with math's cos/sin) or for
+        columns (with numpy's), by the same operations in the same order."""
+        k1, k2 = self.gains
+        arm_1, arm_2 = self.arms
+        g1 = m_1 * k1
+        g2 = m_2 * k2
+        c_1, s_1 = g1 * cos(phi_1), g1 * sin(phi_1)
+        c_2, s_2 = g2 * cos(phi_2), g2 * sin(phi_2)
+        fc, fs = c_1 + c_2, s_1 + s_2
+        mc = arm_1 * c_1 + arm_2 * c_2
+        ms = arm_1 * s_1 + arm_2 * s_2
+        b1, b2, b3, b4 = self.base
+        return (
+            (b1[0] + fc, b1[1] - fs, b1[2], b1[3]),
+            (b2[0] + fs, b2[1] + fc),
+            (b3[0] + ms, b3[1] + mc),
+            (b4[0] + mc, b4[1] - ms, b4[2], b4[3]),
+        )
+
+    def coefficients(self, dv: DecisionVector):
+        """Rows (p1, p2, p3, p4) for one counterweight choice."""
+        return self.rows(dv.m_1, dv.m_2, dv.phi_1, dv.phi_2, math.cos, math.sin)
 
 
-@dataclass(frozen=True)
-class DynamicsSample:
-    """The four profiles at one crank angle."""
+def half_square_integral(row):
+    """1/2 * integral of p**2 over a turn, by Parseval: pi/2 * sum(coef**2).
 
-    theta: float
-    p1: float
-    p2: float
-    p3: float
-    p4: float
+    ``row`` holds 2 or 4 coefficients, floats or equal-length columns; the
+    sum runs left to right in both cases, so a column holds the float
+    results.
+    """
+    if len(row) == 2:
+        c, s = row
+        return HALF_PI * (c * c + s * s)
+    c1, s1, c2, s2 = row
+    return HALF_PI * (c1 * c1 + s1 * s1 + c2 * c2 + s2 * s2)
+
+
+def profile_arrays(cfg: MechanismConfig, dv: DecisionVector, theta):
+    """All four profiles (p1, p2, p3, p4) at ``theta``, a scalar or an
+    ndarray, evaluated from the mechanism's harmonic table."""
+    theta = np.asarray(theta, dtype=float)
+    basis = (np.cos(theta), np.sin(theta), np.cos(2 * theta), np.sin(2 * theta))
+    return tuple(
+        sum(c * b for c, b in zip(row, basis)) for row in cfg.table.coefficients(dv)
+    )
 
 
 def force_x(cfg: MechanismConfig, dv: DecisionVector, theta):
-    """Net x shaking force p1(theta).
-
-    Term by term: slider 1 (primary + R/L secondary harmonic), crank 1,
-    unbalance mass, both counterweights, slider 2 and crank 2 at the phase
-    offset.  ``theta`` may be a scalar or an ndarray.
-    """
-    w2 = cfg.omega**2
-    t2 = theta + cfg.theta_0
-    return (
-        cfg.m_p * cfg.R * w2 * (np.cos(theta) + (cfg.R / cfg.L) * np.cos(2 * theta))
-        + cfg.m_c * cfg.R * w2 * np.cos(theta)
-        + cfg.m_0 * cfg.R_0 * w2 * np.cos(theta + cfg.alpha)
-        + dv.m_1 * cfg.r_1 * w2 * np.cos(theta + dv.phi_1)
-        + dv.m_2 * cfg.r_2 * w2 * np.cos(theta + dv.phi_2)
-        + cfg.m_p * cfg.R * w2 * (np.cos(t2) + (cfg.R / cfg.L) * np.cos(2 * t2))
-        + cfg.m_c * cfg.R * w2 * np.cos(t2)
-    )
+    """Net x shaking force p1(theta); ``theta`` may be a scalar or an ndarray."""
+    return profile_arrays(cfg, dv, theta)[0]
 
 
 def force_y(cfg: MechanismConfig, dv: DecisionVector, theta):
-    """Net y shaking force p2(theta).
-
-    No slider term: the sliders reciprocate along x only.
-    """
-    w2 = cfg.omega**2
-    t2 = theta + cfg.theta_0
-    return (
-        cfg.m_c * cfg.R * w2 * np.sin(theta)
-        + cfg.m_0 * cfg.R_0 * w2 * np.sin(theta + cfg.alpha)
-        + dv.m_1 * cfg.r_1 * w2 * np.sin(theta + dv.phi_1)
-        + dv.m_2 * cfg.r_2 * w2 * np.sin(theta + dv.phi_2)
-        + cfg.m_c * cfg.R * w2 * np.sin(t2)
-    )
+    """Net y shaking force p2(theta); no slider term, the sliders
+    reciprocate along x only."""
+    return profile_arrays(cfg, dv, theta)[1]
 
 
 def moment_x(cfg: MechanismConfig, dv: DecisionVector, theta):
-    """Net moment about x, p3(theta), taken about plane 1.
-
-    Sine analogue of the y-moment with no slider term; the crank-2 term
-    carries the arm (2*a_1 + a_2).
-    """
-    w2 = cfg.omega**2
-    t2 = theta + cfg.theta_0
-    return (
-        (
-            cfg.m_0 * cfg.R_0 * w2 * np.sin(theta + cfg.alpha)
-            + dv.m_1 * cfg.r_1 * w2 * np.sin(theta + dv.phi_1)
-        )
-        * cfg.a_1
-        + (dv.m_2 * cfg.r_2 * w2 * np.sin(theta + dv.phi_2)) * (cfg.a_1 + cfg.a_2)
-        + (cfg.m_c * cfg.R * w2 * np.sin(t2)) * (2 * cfg.a_1 + cfg.a_2)
-    )
+    """Net moment about x, p3(theta), taken about plane 1."""
+    return profile_arrays(cfg, dv, theta)[2]
 
 
 def moment_y(cfg: MechanismConfig, dv: DecisionVector, theta):
-    """Net moment about y, p4(theta), taken about plane 1.
-
-    Plane-2 terms (unbalance + counterweight 1) carry arm a_1, the disk-3
-    counterweight carries (a_1 + a_2), and crank-slider 2 (slider primary +
-    secondary plus crank) carries (2*a_1 + a_2).
-    """
-    w2 = cfg.omega**2
-    t2 = theta + cfg.theta_0
-    return (
-        (
-            cfg.m_0 * cfg.R_0 * w2 * np.cos(theta + cfg.alpha)
-            + dv.m_1 * cfg.r_1 * w2 * np.cos(theta + dv.phi_1)
-        )
-        * cfg.a_1
-        + (dv.m_2 * cfg.r_2 * w2 * np.cos(theta + dv.phi_2)) * (cfg.a_1 + cfg.a_2)
-        + (cfg.m_p * cfg.R * w2 * (np.cos(t2) + (cfg.R / cfg.L) * np.cos(2 * t2)))
-        * (2 * cfg.a_1 + cfg.a_2)
-        + (cfg.m_c * cfg.R * w2 * np.cos(t2)) * (2 * cfg.a_1 + cfg.a_2)
-    )
-
-
-def profile_arrays(cfg: MechanismConfig, dv: DecisionVector, theta: np.ndarray):
-    """All four profiles over a theta array: (p1, p2, p3, p4)."""
-    theta = np.asarray(theta, dtype=float)
-    return (
-        force_x(cfg, dv, theta),
-        force_y(cfg, dv, theta),
-        moment_x(cfg, dv, theta),
-        moment_y(cfg, dv, theta),
-    )
+    """Net moment about y, p4(theta), taken about plane 1."""
+    return profile_arrays(cfg, dv, theta)[3]
 
 
 def theta_grid(n_samples: int) -> np.ndarray:
@@ -234,14 +262,3 @@ def theta_grid(n_samples: int) -> np.ndarray:
         raise ValueError(f"n_samples must be >= 8 (got {n_samples})")
     return TWO_PI * np.arange(n_samples) / n_samples
 
-
-def sample_profile(
-    cfg: MechanismConfig, dv: DecisionVector, n_samples: int
-) -> list[DynamicsSample]:
-    """Sample p1..p4 on the uniform grid of ``theta_grid(n_samples)``."""
-    theta = theta_grid(n_samples)
-    p1, p2, p3, p4 = profile_arrays(cfg, dv, theta)
-    return [
-        DynamicsSample(float(theta[k]), float(p1[k]), float(p2[k]), float(p3[k]), float(p4[k]))
-        for k in range(n_samples)
-    ]

@@ -6,7 +6,8 @@ polar coordinates over one revolution,
 
     A = 1/2 * integral of (|p1| + |p2|)**2 d(theta),
 
-and it is computed exactly, with no grid.  Every profile is a
+and it is computed exactly, with no grid, from the mechanism's harmonic
+coefficient table (``mechanism.HarmonicTable``).  Every profile is a
 trigonometric polynomial of degree <= 2, so the p1**2 + p2**2 part follows
 from Parseval, and the cross term 2 |p1 p2| is integrated piecewise between
 the zeros of p1 and p2 (see _abs_product_integral).  The same area reading
@@ -17,10 +18,11 @@ infeasible points informative for the derivative-free samplers instead of
 rejecting them outright.
 
 The cost has two kernels with one result: a scalar one for single points
-(``evaluate``, ``calibrate_bounds``, calling the objective) and a batched
-one for a population (``GridEvaluator.batch``), which returns the scalar
-value of every row bit for bit.  They share every formula; only the
-transcendental calls differ in how they are applied per element.
+(``evaluate``, calling the objective) and a batched one for a population
+(``GridEvaluator.batch``, and the moment areas of ``calibrate_bounds``),
+which returns the scalar value of every row bit for bit.  They share every
+formula; only the transcendental calls differ in how they are applied per
+element.
 
 ``polar_area`` is the periodic rectangle rule for radii sampled on a grid,
 such as the plotted profiles of ``polar.csv``; the cost does not use it.
@@ -34,11 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanism import DecisionVector, MechanismConfig, theta_grid
+from .mechanism import HALF_PI, TWO_PI, DecisionVector, MechanismConfig, half_square_integral
 from .optimizers.common import Bounds, require_finite, substream
-
-TWO_PI = 2.0 * math.pi
-HALF_PI = 0.5 * math.pi
 
 # Below this ratio of second- to first-harmonic amplitude, p1 is cut at the
 # zeros of its first harmonic (see _abs_product_integral).
@@ -64,9 +63,8 @@ class ObjectiveSpec:
     """Plotting grid, constraint bounds, penalty weight and the search box
     for the four unknowns.
 
-    The cost is exact; ``n_samples`` only sets the theta grid on which
-    profiles are sampled (``GridEvaluator.profiles`` and the ``polar.csv``
-    of ``shakebal balance``).
+    The cost is exact; ``n_samples`` only sets the theta grid of the
+    ``polar.csv`` that ``shakebal balance`` writes.
     """
 
     n_samples: int = 720
@@ -120,20 +118,6 @@ def polar_area(radii) -> float:
     return 0.5 * (TWO_PI / n) * float(np.dot(radii, radii))
 
 
-def _half_square_integral(row):
-    """1/2 * integral of p**2 over a turn, by Parseval: pi/2 * sum(coef**2).
-
-    ``row`` holds 2 or 4 coefficients, floats or equal-length columns; the
-    sum runs left to right in both cases, so a column holds the float
-    results.
-    """
-    if len(row) == 2:
-        c, s = row
-        return HALF_PI * (c * c + s * s)
-    c1, s1, c2, s2 = row
-    return HALF_PI * (c1 * c1 + s1 * s1 + c2 * c2 + s2 * s2)
-
-
 def _positive_part(x: np.ndarray) -> np.ndarray:
     """max(0.0, x) per element, with max's NaN handling (NaN -> 0.0)."""
     return np.where(x > 0.0, x, 0.0)
@@ -172,7 +156,7 @@ def _antiderivative_coefficients(p1, p2) -> tuple:
     of (c_k sin kt - s_k cos kt), the antiderivative of p1 * p2.
 
     p1 * p2 = k0 + sum of (C_k cos kt + S_k sin kt), and c_k = C_k / k,
-    s_k = S_k / k.  Floats or columns, like ``_half_square_integral``.
+    s_k = S_k / k.  Floats or columns, like ``half_square_integral``.
     """
     c1, s1, c2, s2 = p1
     a, b = p2
@@ -315,15 +299,9 @@ def _abs_product_integrals(p1, p2) -> np.ndarray:
 
 
 class GridEvaluator:
-    """Exact cost evaluator over the mechanism's harmonic coefficient table.
-
-    Every profile p1..p4 is a trigonometric polynomial of degree <= 2, held
-    as its coefficients on (cos t, sin t, cos 2t, sin 2t): a base row per
-    profile from the config, plus the counterweight terms
-    u_j = m_j r_j omega**2 (cos phi_j, sin phi_j).  The cost is read from
-    that table with no grid; ``profiles`` samples the same table on the
-    ``n_samples`` grid, and the test suite checks it against the
-    term-by-term functions of ``mechanism``.
+    """Exact cost evaluator, with no grid, over the mechanism's harmonic
+    coefficient table (``mechanism.HarmonicTable``), which the test suite
+    checks against the term-by-term oracle of ``tests/_oracles.py``.
 
     Calling the evaluator on one point (``total``) runs the scalar kernel,
     the fast one for single points.  ``batch`` scores a population (N, 4)
@@ -333,70 +311,14 @@ class GridEvaluator:
 
     def __init__(self, cfg: MechanismConfig, spec: ObjectiveSpec):
         self.spec = spec
-        w2 = cfg.omega**2
-        slider = cfg.m_p * cfg.R * w2
-        second = slider * cfg.R / cfg.L  # slider R/L harmonic
-        crank = cfg.m_c * cfg.R * w2
-        unbal_c = cfg.m_0 * cfg.R_0 * w2 * math.cos(cfg.alpha)
-        unbal_s = cfg.m_0 * cfg.R_0 * w2 * math.sin(cfg.alpha)
-        # crank-slider 2 runs at theta + theta_0
-        c_0, s_0 = math.cos(cfg.theta_0), math.sin(cfg.theta_0)
-        c_00, s_00 = math.cos(2 * cfg.theta_0), math.sin(2 * cfg.theta_0)
-        arm_3 = 2 * cfg.a_1 + cfg.a_2
-        self._p1 = (
-            slider + crank + unbal_c + (slider + crank) * c_0,
-            -unbal_s - (slider + crank) * s_0,
-            second * (1.0 + c_00),
-            -second * s_00,
-        )
-        self._p2 = (unbal_s + crank * s_0, crank + unbal_c + crank * c_0)
-        self._p3 = (cfg.a_1 * unbal_s + arm_3 * crank * s_0, cfg.a_1 * unbal_c + arm_3 * crank * c_0)
-        self._p4 = (
-            cfg.a_1 * unbal_c + arm_3 * (slider + crank) * c_0,
-            -cfg.a_1 * unbal_s - arm_3 * (slider + crank) * s_0,
-            arm_3 * second * c_00,
-            -arm_3 * second * s_00,
-        )
-        self._k1 = cfg.r_1 * w2
-        self._k2 = cfg.r_2 * w2
-        self._arm_1 = cfg.a_1
-        self._arm_2 = cfg.a_1 + cfg.a_2
-
-    def _rows(self, m_1, m_2, phi_1, phi_2, cos, sin):
-        """Rows (p1, p2, p3, p4) for floats (with math's cos/sin) or for
-        columns (with numpy's), by the same operations in the same order."""
-        g1 = m_1 * self._k1
-        g2 = m_2 * self._k2
-        c_1, s_1 = g1 * cos(phi_1), g1 * sin(phi_1)
-        c_2, s_2 = g2 * cos(phi_2), g2 * sin(phi_2)
-        fc, fs = c_1 + c_2, s_1 + s_2
-        mc = self._arm_1 * c_1 + self._arm_2 * c_2
-        ms = self._arm_1 * s_1 + self._arm_2 * s_2
-        b1, b2, b3, b4 = self._p1, self._p2, self._p3, self._p4
-        return (
-            (b1[0] + fc, b1[1] - fs, b1[2], b1[3]),
-            (b2[0] + fs, b2[1] + fc),
-            (b3[0] + ms, b3[1] + mc),
-            (b4[0] + mc, b4[1] - ms, b4[2], b4[3]),
-        )
-
-    def coefficients(self, dv: DecisionVector):
-        """Rows (p1, p2, p3, p4) of harmonic coefficients for one
-        counterweight choice; p2 and p3 carry the first harmonic only."""
-        return self._rows(dv.m_1, dv.m_2, dv.phi_1, dv.phi_2, math.cos, math.sin)
-
-    def profiles(self, dv: DecisionVector):
-        """(p1, p2, p3, p4) arrays over the ``n_samples`` grid."""
-        theta = theta_grid(self.spec.n_samples)
-        basis = np.array([np.cos(theta), np.sin(theta), np.cos(2 * theta), np.sin(2 * theta)])
-        return tuple(np.asarray(row) @ basis[: len(row)] for row in self.coefficients(dv))
+        self._table = cfg.table
 
     def breakdown(self, dv: DecisionVector) -> CostBreakdown:
-        p1, p2, p3, p4 = self.coefficients(dv)
+        p1, p2, p3, p4 = self._table.coefficients(dv)
         # (|p1| + |p2|)**2 = p1**2 + p2**2 + 2 |p1 p2|
-        raw = _half_square_integral(p1) + _half_square_integral(p2) + _abs_product_integral(p1, p2)
-        c1 = _half_square_integral(p3)
-        c2 = _half_square_integral(p4)
+        raw = half_square_integral(p1) + half_square_integral(p2) + _abs_product_integral(p1, p2)
+        c1 = half_square_integral(p3)
+        c2 = half_square_integral(p4)
         violation = max(0.0, c1 - self.spec.c1_max) / self.spec.c1_max + max(
             0.0, c2 - self.spec.c2_max
         ) / self.spec.c2_max
@@ -424,15 +346,15 @@ class GridEvaluator:
         # Python floats overflow to inf and nan without a warning; so does this
         with np.errstate(all="ignore"):
             # phases wrapped as DecisionVector wraps them
-            p1, p2, p3, p4 = self._rows(
+            p1, p2, p3, p4 = self._table.rows(
                 X[:, 0], X[:, 1], X[:, 2] % TWO_PI, X[:, 3] % TWO_PI, np.cos, np.sin
             )
             raw = (
-                _half_square_integral(p1) + _half_square_integral(p2)
+                half_square_integral(p1) + half_square_integral(p2)
                 + _abs_product_integrals(p1, p2)
             )
-            violation = _positive_part(_half_square_integral(p3) - spec.c1_max) / spec.c1_max + (
-                _positive_part(_half_square_integral(p4) - spec.c2_max) / spec.c2_max
+            violation = _positive_part(half_square_integral(p3) - spec.c1_max) / spec.c1_max + (
+                _positive_part(half_square_integral(p4) - spec.c2_max) / spec.c2_max
             )
             return raw + spec.penalty_weight * violation
 
@@ -447,6 +369,7 @@ def make_objective(cfg: MechanismConfig, spec: ObjectiveSpec) -> GridEvaluator:
     callable on one point x -> penalized total, and ``.batch`` on a
     population."""
     return GridEvaluator(cfg, spec)
+
 
 def calibrate_bounds(
     cfg: MechanismConfig,
@@ -467,15 +390,12 @@ def calibrate_bounds(
         raise ValueError(f"n_random must be >= 1 (got {n_random})")
     if not (0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must be in (0, 1] (got {fraction})")
-    # penalty/bound fields are irrelevant here; only the coefficients are used
-    probe = ObjectiveSpec(c1_max=1.0, c2_max=1.0, bounds=spec_bounds)
-    evaluator = GridEvaluator(cfg, probe)
-    rng = substream(seed, 0)
-    c1_worst = 0.0
-    c2_worst = 0.0
-    for _ in range(n_random):
-        dv = DecisionVector.from_array(spec_bounds.lerp(rng.random(4)))
-        _, _, p3, p4 = evaluator.coefficients(dv)
-        c1_worst = max(c1_worst, _half_square_integral(p3))
-        c2_worst = max(c2_worst, _half_square_integral(p4))
+    ObjectiveSpec(bounds=spec_bounds)  # its checks of the box: 4-d, masses >= 0
+    # n draws of random(4), as one (n, 4) draw of the same doubles
+    X = spec_bounds.lerp(substream(seed, 0).random((n_random, 4)))
+    # phases wrapped as DecisionVector wraps them
+    _, _, p3, p4 = cfg.table.rows(X[:, 0], X[:, 1], X[:, 2] % TWO_PI, X[:, 3] % TWO_PI, np.cos, np.sin)
+    # the max over the samples and 0.0, skipping NaN as max() does
+    c1_worst = float(np.fmax.reduce(half_square_integral(p3), initial=0.0))
+    c2_worst = float(np.fmax.reduce(half_square_integral(p4), initial=0.0))
     return fraction * c1_worst, fraction * c2_worst

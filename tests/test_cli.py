@@ -134,6 +134,34 @@ def test_bench_rejects_a_non_finite_config_value(tmp_path, capsys):
     assert not (tmp_path / "b" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("omega", ["1e154", "1e160"])
+def test_bench_rejects_a_mechanism_that_overflows(tmp_path, capsys, omega):
+    bad = tmp_path / "huge.cfg"
+    bad.write_text(f"mechanism.omega = {omega}\n")
+    assert main(["bench", "--config", str(bad), "--out", str(tmp_path / "b"), "--jobs", "1"]) == 1
+    assert f"{bad}:1: mechanism.omega: omega = " in capsys.readouterr().err
+    assert not (tmp_path / "b" / "results.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["profile", "--samples", "4", "--solutions", "SOLUTIONS", "--out", "OUT"],
+         "--samples: n_samples must be >= 8 (got 4)"),
+        (["calibrate", "--samples", "0"], "--samples: n_random must be >= 1 (got 0)"),
+        (["calibrate", "--fraction", "2"], "--fraction: fraction must be in (0, 1] (got 2.0)"),
+        (["balance", "--iters", "0", "--out", "OUT"], "--iters: iterations must be >= 1 (got 0)"),
+    ],
+)
+def test_bad_flag_value_exits_1_with_one_line(tmp_path, capsys, argv, message):
+    solutions = tmp_path / "solutions.csv"
+    solutions.write_text("name,m1,m2,phi1,phi2\nguess,0.2,0.0,3.14159,0.0\n")
+    paths = {"SOLUTIONS": str(solutions), "OUT": str(tmp_path / "o")}
+    assert main([paths.get(arg, arg) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o" / "polar.csv").exists()
+
+
 def test_bench_says_why_each_run_failed(tmp_path, capsys):
     cfg = tmp_path / "doomed.cfg"
     # every point is infeasible, and its penalty overflows to inf

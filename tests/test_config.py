@@ -134,6 +134,13 @@ def test_non_finite_integers_are_rejected(tmp_path, key, value):
         load(tmp_path, f"{key} = {value}\n")
 
 
+@pytest.mark.parametrize("omega", ["1e154", "1e160"])
+def test_mechanism_that_overflows_names_omega(tmp_path, omega):
+    # 1e160 overflows omega**2; 1e154 gives a finite table but NaN costs
+    with pytest.raises(ConfigError, match=r":2: mechanism\.omega: omega = .* overflows"):
+        load(tmp_path, f"mechanism.m_c = 0.5\nmechanism.omega = {omega}\n")
+
+
 def test_dataclasses_reject_non_finite_values():
     with pytest.raises(ValueError, match="omega must be finite"):
         MechanismConfig(omega=math.nan)

@@ -1,5 +1,5 @@
-"""Profile equations: spelled-out examples, cancellation cases, and the
-term-by-term oracle comparison."""
+"""Profile equations: spelled-out examples, cancellation cases, the
+term-by-term oracle comparison, and the checks on the harmonic table."""
 
 import math
 
@@ -14,7 +14,6 @@ from shakebal.mechanism import (
     moment_x,
     moment_y,
     profile_arrays,
-    sample_profile,
     theta_grid,
     wrap_angle,
 )
@@ -153,28 +152,26 @@ def test_profile_arrays_matches_individual_ops():
 # ----------------------------------------------------------------------
 
 def test_sample_profile_grid_definition():
-    samples = sample_profile(MechanismConfig(), ZERO, 8)
-    assert [s.theta for s in samples] == pytest.approx(
-        [k * math.pi / 4 for k in range(8)], abs=1e-15
-    )
+    assert list(theta_grid(8)) == pytest.approx([k * math.pi / 4 for k in range(8)], abs=1e-15)
 
 
 def test_sample_profile_rejects_tiny_grids():
     with pytest.raises(ValueError, match="n_samples"):
-        sample_profile(MechanismConfig(), ZERO, 7)
+        theta_grid(7)
 
 
 def test_sample_profile_zero_masses():
-    samples = sample_profile(massless_config(), ZERO, 16)
-    assert all(s.p1 == s.p2 == s.p3 == s.p4 == 0.0 for s in samples)
+    for profile in profile_arrays(massless_config(), ZERO, theta_grid(16)):
+        assert np.all(profile == 0.0)
 
 
 def test_sample_profile_wraps_periodically():
     cfg = MechanismConfig()
     dv = DecisionVector(0.3, 0.1, 1.0, 2.0)
-    samples = sample_profile(cfg, dv, 16)
-    for s in samples:
-        assert force_x(cfg, dv, s.theta + 2 * math.pi) == pytest.approx(s.p1, rel=1e-9, abs=1e-9)
+    theta = theta_grid(16)
+    p1 = profile_arrays(cfg, dv, theta)[0]
+    for t, want in zip(theta, p1):
+        assert force_x(cfg, dv, t + 2 * math.pi) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +206,14 @@ def test_decision_vector_shift_by_two_pi_is_identity():
     np.testing.assert_allclose(
         profile_arrays(cfg, a, GRID), profile_arrays(cfg, b, GRID), rtol=0, atol=1e-9
     )
+
+
+@pytest.mark.parametrize("omega", [1e150, 1e154, 1e160])
+def test_config_rejects_a_mechanism_that_overflows(omega):
+    # 1e160: omega**2 itself overflows; 1e150 and 1e154: the table is
+    # finite, but its areas are not, so every cost would be NaN
+    with pytest.raises(ValueError, match="omega = .* overflows"):
+        MechanismConfig(omega=omega)
 
 
 def test_decision_vector_rejects_negative_mass():

@@ -1,5 +1,6 @@
 """Quadrature, cost breakdown, penalty behavior and bound calibration."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,16 @@ from shakebal.objective import (
 )
 from shakebal.optimizers import Bounds, substream
 
-from _oracles import CFG_KEYS, DV_KEYS, brute_force_breakdown, random_params
+from _oracles import (
+    CFG_KEYS,
+    DV_KEYS,
+    brute_force_breakdown,
+    oracle_p1,
+    oracle_p2,
+    oracle_p3,
+    oracle_p4,
+    random_params,
+)
 
 # brute_force_breakdown(DEFAULT_PARAMS, n=1e5), frozen; the test also
 # recomputes it live so oracle drift cannot go unnoticed
@@ -161,15 +171,14 @@ def test_exact_cost_matches_oracle_when_p1_touches_zero():
 def test_grid_evaluator_matches_mechanism_functions():
     rng = np.random.default_rng(3)
     cfg = MechanismConfig()
-    spec = ObjectiveSpec(n_samples=720)
-    evaluator = GridEvaluator(cfg, spec)
-    theta = theta_grid(spec.n_samples)
+    theta = theta_grid(720)
     for _ in range(20):
         dv = DecisionVector(*rng.uniform(0.0, 5.0, 2), *rng.uniform(0.0, 2 * math.pi, 2))
-        fast = evaluator.profiles(dv)
-        plain = profile_arrays(cfg, dv, theta)
-        for a, b in zip(fast, plain):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * cfg.omega**2)
+        params = {**dataclasses.asdict(cfg), **dataclasses.asdict(dv)}
+        table = profile_arrays(cfg, dv, theta)
+        for got, oracle in zip(table, (oracle_p1, oracle_p2, oracle_p3, oracle_p4)):
+            want = [oracle(params, t) for t in theta]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * cfg.omega**2)
 
 
 def test_penalty_kicks_in_exactly_at_the_bounds():
@@ -335,8 +344,11 @@ def test_batch_matches_total_on_non_finite_rows():
     X[3, 1] = math.inf
     X[4, 3] = -math.inf
     assert_batch_matches_total(MechanismConfig(), X)
-    # a finite mechanism whose coefficient table overflows
-    assert_batch_matches_total(MechanismConfig(omega=1e150), X[5:])
+    # finite counterweights whose coefficients overflow (a mechanism whose
+    # own table overflows is rejected by MechanismConfig)
+    X_huge = X[5:].copy()
+    X_huge[:, :2] *= 1e300
+    assert_batch_matches_total(MechanismConfig(), X_huge)
 
 
 def test_batch_raises_the_scalar_error_on_negative_mass():
@@ -378,6 +390,23 @@ def test_calibrate_single_sample_is_exact():
     dv = DecisionVector.from_array(bounds.lerp(substream(42, 0).random(4)))
     b = evaluate(cfg, dv, ObjectiveSpec())
     assert got == (b.c1, b.c2)
+
+
+def test_calibrate_is_the_max_of_evaluate_over_the_stream():
+    cfg = MechanismConfig()
+    bounds = default_search_bounds(cfg)
+    rng = substream(3, 0)
+    areas = [evaluate(cfg, DecisionVector.from_array(bounds.lerp(rng.random(4))), ObjectiveSpec())
+             for _ in range(500)]
+    got = calibrate_bounds(cfg, bounds, n_random=500, fraction=0.3, seed=3)
+    assert got == (0.3 * max(b.c1 for b in areas), 0.3 * max(b.c2 for b in areas))
+
+
+def test_calibrate_rejects_a_negative_mass_bound():
+    cfg = MechanismConfig()
+    bounds = Bounds(np.array([-1.0, 0.0, 0.0, 0.0]), default_search_bounds(cfg).upper)
+    with pytest.raises(ValueError, match="m1_min must be >= 0"):
+        calibrate_bounds(cfg, bounds, 100)
 
 
 def test_calibrate_deterministic_per_seed():
