@@ -2,17 +2,17 @@
 budget, grouped statistics, and CSV emitters for convergence traces,
 runtime growth and polar cost profiles.
 
-All CSV output is UTF-8 with LF line endings, '.' decimal separator, and
-floats written as their shortest round-trip representation, so a file can
-be parsed back and re-summarized to bit-identical statistics.  Schemas:
+Every CSV goes through one table writer: UTF-8 with LF line endings, '.'
+decimal separator, and each float written as its shortest round-trip
+representation, so a file can be parsed back and re-summarized to
+bit-identical statistics.  The record dataclasses are the schema; each
+column list is named once, in its ``*_HEADER`` constant:
 
-    results.csv      algorithm,budget,experiment,seed,m1,m2,phi1,phi2,
-                     raw_cost,c1,c2,total_cost,wall_time_s,status
-    summary.csv      algorithm,budget,metric,average,best,worst
-                     (metric in {cost, wall_time_s})
-    convergence.csv  algorithm,seed,iteration,best_cost
-    runtime.csv      algorithm,seed,iteration,cumulative_seconds
-    polar.csv        theta_rad,r_unbalanced,r_<name>,...
+    results.csv      RESULTS_HEADER, the ResultRow fields written per run
+    summary.csv      SUMMARY_HEADER, the SummaryRow fields in order
+    convergence.csv  CONVERGENCE_HEADER, best cost so far per iteration
+    runtime.csv      RUNTIME_HEADER, cumulative seconds per iteration
+    polar.csv        theta_rad, then one r_<name> column per profile
 
 Failed runs stay in the results table as rows with status "failed" (empty
 numeric fields) so experiment numbers remain aligned with seeds; they are
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,7 +39,7 @@ from .optimizers import (
     PsoParams,
     RunResult,
 )
-from .optimizers.common import require_finite
+from .optimizers.common import require_finite, require_seed
 
 RESULTS_HEADER = [
     "algorithm", "budget", "experiment", "seed", "m1", "m2", "phi1", "phi2",
@@ -86,6 +85,7 @@ class BenchSettings:
             raise ValueError(f"iteration_budgets must be non-empty positive (got {self.iteration_budgets})")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1 (got {self.repeats})")
+        require_seed(self.base_seed, "base_seed")
 
 
 @dataclass
@@ -223,94 +223,59 @@ def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
 # CSV io
 # ----------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    """Shortest representation that parses back to the exact float."""
-    if value is None:
-        return ""
-    return repr(float(value))
+def _float_columns(record_type) -> list[str]:
+    """The fields a record dataclass annotates as float (annotations are
+    strings in this module)."""
+    return [f.name for f in dataclasses.fields(record_type) if f.type.startswith("float")]
 
 
-def _open_csv(path):
-    return open(path, "w", encoding="utf-8", newline="")
+def _write_csv(path, header, records, floats) -> None:
+    """The one table writer: ``header``, then one line per record (a
+    sequence of cells).  A cell of a column named in ``floats`` is written
+    as repr(float(v)), the shortest text that parses back to the same
+    float, whatever numeric type holds it; None is an empty field, and any
+    other cell is written with str."""
+    is_float = [name in floats for name in header]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if f and v is not None else v for v, f in zip(rec, is_float)]
+            for rec in records
+        )
 
 
 def write_results(rows: list[ResultRow], path) -> None:
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.algorithm,
-                    r.budget,
-                    r.experiment,
-                    r.seed,
-                    _fmt(r.m1),
-                    _fmt(r.m2),
-                    _fmt(r.phi1),
-                    _fmt(r.phi2),
-                    _fmt(r.raw_cost),
-                    _fmt(r.c1),
-                    _fmt(r.c2),
-                    _fmt(r.total_cost),
-                    _fmt(r.wall_time_s),
-                    r.status,
-                ]
-            )
+    records = ([getattr(r, name) for name in RESULTS_HEADER] for r in rows)
+    _write_csv(path, RESULTS_HEADER, records, _float_columns(ResultRow))
 
 
 def parse_results(path) -> list[ResultRow]:
     """Read results.csv back; traces are not recoverable from the file."""
-    rows: list[ResultRow] = []
+    types = {f.name: f.type for f in dataclasses.fields(ResultRow)}
+    parse = {"str": str, "int": int, "float | None": lambda t: None if t == "" else float(t)}
     with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != RESULTS_HEADER:
-            raise ValueError(f"unexpected results header {header}")
-        for rec in reader:
-            opt = lambda s: None if s == "" else float(s)
-            rows.append(
-                ResultRow(
-                    algorithm=rec[0],
-                    budget=int(rec[1]),
-                    experiment=int(rec[2]),
-                    seed=int(rec[3]),
-                    m1=opt(rec[4]),
-                    m2=opt(rec[5]),
-                    phi1=opt(rec[6]),
-                    phi2=opt(rec[7]),
-                    raw_cost=opt(rec[8]),
-                    c1=opt(rec[9]),
-                    c2=opt(rec[10]),
-                    total_cost=opt(rec[11]),
-                    wall_time_s=opt(rec[12]),
-                    status=rec[13],
-                )
-            )
-    return rows
+        header, *records = csv.reader(fh)
+    if header != RESULTS_HEADER:
+        raise ValueError(f"unexpected results header {header}")
+    return [ResultRow(**{n: parse[types[n]](t) for n, t in zip(header, rec)}) for rec in records]
 
 
 def write_summary(summary: list[SummaryRow], path) -> None:
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for s in summary:
-            writer.writerow(
-                [s.algorithm, s.budget, s.metric, _fmt(s.average), _fmt(s.best), _fmt(s.worst)]
-            )
+    records = (dataclasses.astuple(s) for s in summary)
+    _write_csv(path, SUMMARY_HEADER, records, _float_columns(SummaryRow))
 
 
 def emit_convergence(rows: list[ResultRow], path) -> None:
     """Best-so-far trace per run: iteration 0 is the initial population
     best, so a run of N iterations contributes N+1 rows."""
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CONVERGENCE_HEADER)
-        for row in rows:
-            if row.result is None:
-                continue
-            for iteration, best in enumerate(row.result.trace):
-                writer.writerow([row.algorithm, row.seed, iteration, _fmt(best)])
+    records = (
+        (row.algorithm, row.seed, iteration, best)
+        for row in rows
+        if row.result is not None
+        for iteration, best in enumerate(row.result.trace)
+    )
+    _write_csv(path, CONVERGENCE_HEADER, records, CONVERGENCE_HEADER[-1:])
 
 
 def emit_runtime_growth(rows: list[ResultRow], path) -> None:
@@ -322,14 +287,13 @@ def emit_runtime_growth(rows: list[ResultRow], path) -> None:
             raise ValueError(
                 f"run ({row.algorithm}, seed {row.seed}) has no timing checkpoints"
             )
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RUNTIME_HEADER)
-        for row in rows:
-            if row.result is None:
-                continue
-            for k, elapsed in enumerate(row.result.time_trace, start=1):
-                writer.writerow([row.algorithm, row.seed, k, _fmt(elapsed)])
+    records = (
+        (row.algorithm, row.seed, k, elapsed)
+        for row in rows
+        if row.result is not None
+        for k, elapsed in enumerate(row.result.time_trace, start=1)
+    )
+    _write_csv(path, RUNTIME_HEADER, records, RUNTIME_HEADER[-1:])
 
 
 def emit_polar(
@@ -347,27 +311,19 @@ def emit_polar(
     for _, dv in columns:
         p1, p2, _, _ = profile_arrays(cfg, dv, theta)
         radial.append(np.abs(p1) + np.abs(p2))
-    with _open_csv(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta_rad"] + [f"r_{name}" for name, _ in columns])
-        for k in range(n_samples):
-            writer.writerow([_fmt(theta[k])] + [_fmt(col[k]) for col in radial])
+    header = ["theta_rad"] + [f"r_{name}" for name, _ in columns]
+    _write_csv(path, header, zip(theta, *radial), header)
 
 
 def results_equal_modulo_time(path_a, path_b) -> bool:
-    """Byte-level comparison of two results.csv files ignoring the
+    """Cell-by-cell comparison of two results.csv files ignoring the
     wall_time_s column (the only nondeterministic field)."""
     def normalized(path):
-        out = io.StringIO()
         with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            writer = csv.writer(out, lineterminator="\n")
-            header = next(reader)
-            idx = header.index("wall_time_s")
-            writer.writerow(header)
-            for rec in reader:
-                rec[idx] = ""
-                writer.writerow(rec)
-        return out.getvalue()
+            header, *records = csv.reader(fh)
+        idx = header.index("wall_time_s")
+        for rec in records:
+            rec[idx] = ""
+        return header, records
 
     return normalized(path_a) == normalized(path_b)

@@ -27,6 +27,7 @@ from .config import AppConfig, ConfigError, optimizer_params_map, parse_config
 from .mechanism import DecisionVector
 from .objective import calibrate_bounds, evaluate
 from .optimizers import ALGORITHM_NAMES, OPTIMIZERS
+from .optimizers.common import require_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,8 +85,9 @@ def _run_params(config: AppConfig, algo: str, iters: int | None):
 
 def cmd_balance(args) -> int:
     config = _load_config(args.config)
-    with _flags(iterations="--iters"):
+    with _flags(iterations="--iters", seed="--seed"):
         params = _run_params(config, args.algo, args.iters)
+        require_seed(args.seed)
     targets = _prepare_outputs(args.out, ["convergence.csv", "polar.csv"], args.force)
 
     objective = bench_mod.make_objective(config.mechanism, config.objective)
@@ -132,7 +134,7 @@ def cmd_balance(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
-    with _flags(n_random="--samples", fraction="--fraction"):
+    with _flags(n_random="--samples", fraction="--fraction", seed="--seed"):
         c1_max, c2_max = calibrate_bounds(
             config.mechanism,
             config.objective.bounds,

@@ -18,6 +18,7 @@ from .bench import BenchSettings
 from .mechanism import MechanismConfig
 from .objective import ObjectiveSpec, default_search_bounds
 from .optimizers import AbcParams, BgaParams, Bounds, HgapsoParams, PsoParams
+from .optimizers.bga import chromosome_length
 
 
 class ConfigError(Exception):
@@ -185,7 +186,13 @@ def parse_config(path) -> AppConfig:
 
     pso = _build_section(path, "pso", section_fields("pso"), lines, PsoParams)
     abc = _build_section(path, "abc", section_fields("abc"), lines, AbcParams)
-    bga = _build_section(path, "bga", section_fields("bga"), lines, BgaParams)
+
+    def bga_params(**kw) -> BgaParams:
+        params = BgaParams(**kw)
+        chromosome_length(params, objective.bounds.dimension)
+        return params
+
+    bga = _build_section(path, "bga", section_fields("bga"), lines, bga_params)
     hg_fields = section_fields("hgapso")
     hgapso = _build_section(
         path, "hgapso", hg_fields, lines, lambda **kw: HgapsoParams(pso=pso, bga=bga, **kw)

@@ -109,6 +109,44 @@ def multipoint_crossover(
     return child_a, child_b
 
 
+def chromosome_length(params: BgaParams, dimension: int) -> int:
+    """Bits per chromosome over ``dimension`` variables; rejects more
+    crossover points than the chromosome has cut positions."""
+    length = params.bits_per_variable * dimension
+    if params.crossover_points > length - 1:
+        raise ValueError(
+            f"crossover_points must be <= chromosome length - 1 ({length - 1}), "
+            f"got {params.crossover_points}"
+        )
+    return length
+
+
+def breed(
+    rng: np.random.Generator, parents: np.ndarray, probs: np.ndarray, count: int, params: BgaParams
+) -> np.ndarray:
+    """``count`` offspring (count, L) of the chromosomes ``parents`` (N, L):
+    per pair, a roulette draw of two parents on ``probs``, multipoint
+    crossover with probability crossover_prob, and per-bit mutation of
+    both children (rate 1/L unless set); the second child of the last pair
+    is dropped when only one slot is left."""
+    n, length = parents.shape
+    p_mut = params.mutation_prob_per_bit
+    if p_mut is None:
+        p_mut = 1.0 / length
+    cut_positions = np.arange(1, length)
+    children = []
+    while len(children) < count:
+        ia, ib = rng.choice(n, size=2, p=probs)
+        child_a, child_b = parents[ia].copy(), parents[ib].copy()
+        if rng.random() < params.crossover_prob:
+            cuts = rng.choice(cut_positions, size=params.crossover_points, replace=False)
+            child_a, child_b = multipoint_crossover(parents[ia], parents[ib], cuts)
+        child_a ^= rng.random(length) < p_mut
+        child_b ^= rng.random(length) < p_mut
+        children += [child_a, child_b][: count - len(children)]
+    return np.array(children, dtype=bool).reshape(count, length)
+
+
 def optimize_bga(
     objective,
     bounds: Bounds,
@@ -121,17 +159,8 @@ def optimize_bga(
     ``init_points`` (population, d) seeds the first generation through the
     encoder instead of random bits (testing hook).
     """
-    pop, d = params.population, bounds.dimension
-    nb = params.bits_per_variable
-    length = nb * d
-    if params.crossover_points > length - 1:
-        raise ValueError(
-            f"crossover_points must be <= chromosome length - 1 ({length - 1}), "
-            f"got {params.crossover_points}"
-        )
-    p_mut = params.mutation_prob_per_bit
-    if p_mut is None:
-        p_mut = 1.0 / length
+    pop, nb = params.population, params.bits_per_variable
+    length = chromosome_length(params, bounds.dimension)
 
     rng_init = substream(seed, INIT_STREAM)
     rng = substream(seed, SEARCH_STREAM)
@@ -146,25 +175,10 @@ def optimize_bga(
     costs = tracked.batch(decode_bits(bits, bounds, nb))
     recorder.checkpoint_initial()
 
-    cut_positions = np.arange(1, length)
     for _ in range(params.iterations):
-        probs = rank_probabilities(costs)
-        order = np.argsort(costs, kind="stable")
-        next_bits = [bits[i].copy() for i in order[: params.elitism]]
-
-        while len(next_bits) < pop:
-            ia, ib = rng.choice(pop, size=2, p=probs)
-            child_a, child_b = bits[ia].copy(), bits[ib].copy()
-            if rng.random() < params.crossover_prob:
-                cuts = rng.choice(cut_positions, size=params.crossover_points, replace=False)
-                child_a, child_b = multipoint_crossover(bits[ia], bits[ib], cuts)
-            child_a ^= rng.random(length) < p_mut
-            child_b ^= rng.random(length) < p_mut
-            next_bits.append(child_a)
-            if len(next_bits) < pop:
-                next_bits.append(child_b)
-
-        bits = np.array(next_bits)
+        elites = bits[np.argsort(costs, kind="stable")[: params.elitism]]
+        children = breed(rng, bits, rank_probabilities(costs), pop - len(elites), params)
+        bits = np.concatenate([elites, children])
         costs = tracked.batch(decode_bits(bits, bounds, nb))
         recorder.checkpoint_iteration()
 

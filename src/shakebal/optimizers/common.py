@@ -26,8 +26,15 @@ INIT_STREAM = 0
 SEARCH_STREAM = 1
 
 
+def require_seed(seed: int, name: str = "seed") -> None:
+    """Reject a negative seed, which no Philox stream accepts."""
+    if seed < 0:
+        raise ValueError(f"{name} must be >= 0 (got {seed})")
+
+
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Independent Philox stream for one phase of one seeded run."""
+    require_seed(seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
 
 

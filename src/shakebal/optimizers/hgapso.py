@@ -5,10 +5,10 @@ Each generation the population is ranked by cost; the top
 (inertia-weight rule with a persistent per-individual velocity and
 personal best, and the current population best standing in for the swarm
 best) and pass to the next generation directly.  The remaining slots are
-filled by GA offspring bred from the whole current population with the
-binary operators (encode, rank roulette, multipoint crossover, per-bit
-mutation, decode).  Offspring start with zero velocity and themselves as
-personal best.
+filled by GA offspring bred from the whole encoded population by BGA's
+own operator, ``bga.breed`` (rank roulette, multipoint crossover, per-bit
+mutation), and decoded.  Offspring start with zero velocity and
+themselves as personal best.
 
 With phi = 1 every individual is an elite and the dynamics degenerate to
 plain PSO; the random-draw order still differs from ``optimize_pso`` (the
@@ -19,12 +19,13 @@ qualitatively rather than bitwise.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bga import BgaParams, decode_bits, encode_point, multipoint_crossover, rank_probabilities
+from .bga import BgaParams, breed, chromosome_length, decode_bits, encode_point, rank_probabilities
 from .common import (
     INIT_STREAM,
     SEARCH_STREAM,
@@ -67,22 +68,11 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
     """Minimize ``objective`` over ``bounds`` with the GA/PSO hybrid."""
     pop, d = params.population, bounds.dimension
     nb = params.bga.bits_per_variable
-    length = nb * d
-    p_mut = params.bga.mutation_prob_per_bit
-    if p_mut is None:
-        p_mut = 1.0 / length
+    chromosome_length(params.bga, d)
     v_max = params.pso.v_max_fraction * bounds.width
     n_elite = elite_count(params.breeding_ratio, pop)
     # the inertia schedule runs over this hybrid's own generation count
-    schedule = PsoParams(
-        population=pop,
-        iterations=params.iterations,
-        c1=params.pso.c1,
-        c2=params.pso.c2,
-        w_max=params.pso.w_max,
-        w_min=params.pso.w_min,
-        v_max_fraction=params.pso.v_max_fraction,
-    )
+    schedule = dataclasses.replace(params.pso, population=pop, iterations=params.iterations)
 
     rng_init = substream(seed, INIT_STREAM)
     rng = substream(seed, SEARCH_STREAM)
@@ -97,12 +87,10 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
     pbest_f = f.copy()
     recorder.checkpoint_initial()
 
-    cut_positions = np.arange(1, length)
     for t in range(1, params.iterations + 1):
         w = inertia_weight(schedule, t)
         order = np.argsort(f, kind="stable")
         swarm_best = x[order[0]].copy()
-        probs = rank_probabilities(f)
 
         # elites, in rank order: one PSO step each; u[:, 0] and u[:, 1]
         # are the per-elite (U1, U2) pairs, drawn in the same order
@@ -115,16 +103,7 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
 
         # offspring fill the remaining slots, bred from the encoded population
         genomes = encode_point(x, bounds, nb)
-        children = []
-        while n_elite + len(children) < pop:
-            ia, ib = rng.choice(pop, size=2, p=probs)
-            bits_a, bits_b = genomes[ia].copy(), genomes[ib].copy()
-            if rng.random() < params.bga.crossover_prob:
-                cuts = rng.choice(cut_positions, size=params.bga.crossover_points, replace=False)
-                bits_a, bits_b = multipoint_crossover(bits_a, bits_b, cuts)
-            bits_a ^= rng.random(length) < p_mut
-            bits_b ^= rng.random(length) < p_mut
-            children += [bits_a, bits_b][: pop - n_elite - len(children)]
+        children = breed(rng, genomes, rank_probabilities(f), pop - n_elite, params.bga)
 
         new_x = np.empty_like(x)
         new_x[:n_elite] = bounds.clip(x[elite] + v_elite)
@@ -134,8 +113,7 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
         new_pbest_x[:n_elite] = pbest_x[elite]
         new_pbest_f = np.full(pop, np.inf)
         new_pbest_f[:n_elite] = pbest_f[elite]
-        if children:
-            new_x[n_elite:] = new_pbest_x[n_elite:] = decode_bits(np.array(children), bounds, nb)
+        new_x[n_elite:] = new_pbest_x[n_elite:] = decode_bits(children, bounds, nb)
 
         x, v, pbest_x, pbest_f = new_x, new_v, new_pbest_x, new_pbest_f
         f = tracked.batch(x)

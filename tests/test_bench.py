@@ -2,14 +2,23 @@
 round-trips."""
 
 import csv
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shakebal.bench import (
+    CONVERGENCE_HEADER,
+    RESULTS_HEADER,
+    RUNTIME_HEADER,
+    SUMMARY_HEADER,
+    BenchSettings,
     ExperimentPlan,
     ResultRow,
+    SummaryRow,
     emit_convergence,
     emit_polar,
     emit_runtime_growth,
@@ -163,6 +172,55 @@ def test_float_formatting_round_trips(tmp_path):
     assert parse_results(tmp_path / "results.csv")[0].total_cost == value
 
 
+def test_results_bytes_are_pinned(tmp_path):
+    rows = [
+        ResultRow(
+            "hgapso", 300, 7, 7,
+            m1=np.float64(0.2), m2=0.0, phi1=np.float64(math.pi), phi2=1e-17,
+            raw_cost=1377.08858153382, c1=np.float64(1874.0), c2=2,  # an int in a float column
+            total_cost=1377.08858153382, wall_time_s=np.float32(0.1), status="ok",
+        ),
+        ResultRow("bga", 200, 3, 3, status="failed", error="ValueError: not written"),
+    ]
+    write_results(rows, tmp_path / "results.csv")
+    assert (tmp_path / "results.csv").read_bytes() == (
+        b"algorithm,budget,experiment,seed,m1,m2,phi1,phi2,"
+        b"raw_cost,c1,c2,total_cost,wall_time_s,status\n"
+        b"hgapso,300,7,7,0.2,0.0,3.141592653589793,1e-17,1377.08858153382,1874.0,2.0,"
+        b"1377.08858153382,0.10000000149011612,ok\n"
+        b"bga,200,3,3,,,,,,,,,,failed\n"
+    )
+
+
+def test_every_results_column_round_trips(tmp_path):
+    doomed = ObjectiveSpec(n_samples=64, penalty_weight=1e308, c1_max=1e-12, c2_max=1e-12)
+    failed = run_plan(tiny_plan(algorithms=("pso",), repeats=1, objective=doomed))
+    rows = run_plan(tiny_plan()) + failed
+    assert [r.status for r in rows][-2:] == ["ok", "failed"]
+    write_results(rows, tmp_path / "results.csv")
+    back = parse_results(tmp_path / "results.csv")
+    table = lambda rs: [[getattr(r, name) for name in RESULTS_HEADER] for r in rs]
+    assert table(back) == table(rows)
+    kinds = [type(getattr(back[0], name)).__name__ for name in RESULTS_HEADER]
+    assert kinds == ["str", "int", "int", "int"] + ["float"] * 9 + ["str"]
+
+
+def test_headers_are_the_record_fields():
+    names = [f.name for f in dataclasses.fields(ResultRow)]
+    assert names[: len(RESULTS_HEADER)] == RESULTS_HEADER
+    assert [f.name for f in dataclasses.fields(SummaryRow)] == SUMMARY_HEADER
+
+
+def test_readme_csv_table_matches_the_headers():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = dict(re.findall(r"^\| `(\w+\.csv)` \| `([^`]*)`", readme, flags=re.M))
+    assert table["results.csv"].split(",") == RESULTS_HEADER
+    assert table["summary.csv"].split(",") == SUMMARY_HEADER
+    assert table["convergence.csv"].split(",") == CONVERGENCE_HEADER
+    assert table["runtime.csv"].split(",") == RUNTIME_HEADER
+    assert table["polar.csv"].startswith("theta_rad,")
+
+
 # ----------------------------------------------------------------------
 # emitters
 # ----------------------------------------------------------------------
@@ -253,3 +311,10 @@ def test_plan_validation():
         ExperimentPlan(repeats=0)
     with pytest.raises(ValueError, match="budgets"):
         ExperimentPlan(iteration_budgets=())
+
+
+def test_negative_base_seed_is_rejected():
+    with pytest.raises(ValueError, match=r"base_seed must be >= 0 \(got -1\)"):
+        BenchSettings(base_seed=-1)
+    with pytest.raises(ValueError, match="base_seed"):
+        ExperimentPlan(base_seed=-3)

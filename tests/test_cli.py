@@ -162,6 +162,25 @@ def test_bad_flag_value_exits_1_with_one_line(tmp_path, capsys, argv, message):
     assert not (tmp_path / "o" / "polar.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("bga.crossover_points", "70"), ("bench.base_seed", "-1")])
+def test_bench_rejects_a_value_no_run_could_use(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(FAST_CFG + f"{key} = {value}\n")
+    assert main(["bench", "--config", str(bad), "--out", str(tmp_path / "b"), "--jobs", "1"]) == 1
+    lineno = FAST_CFG.count("\n") + 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}:{lineno}: {key}: ")
+    assert not (tmp_path / "b" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["balance", "calibrate"])
+def test_negative_seed_flag_exits_1_before_any_output(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    argv = [command, "--seed", "-1"] + (["--out", str(out)] if command == "balance" else [])
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --seed: seed must be >= 0 (got -1)\n"
+    assert not out.exists()
+
+
 def test_bench_says_why_each_run_failed(tmp_path, capsys):
     cfg = tmp_path / "doomed.cfg"
     # every point is infeasible, and its penalty overflows to inf

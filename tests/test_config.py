@@ -163,3 +163,20 @@ def test_negative_mass_bound_is_rejected(tmp_path):
     assert "must be >= 0" in message
     with pytest.raises(ConfigError, match="objective.m2_min"):
         load(tmp_path, "objective.m2_min = -0.5\n")
+
+
+def test_too_many_crossover_points_name_the_key(tmp_path):
+    # 16 bits x 4 variables leave 63 cut positions
+    message = r":2: bga\.crossover_points: crossover_points must be <= chromosome length - 1 \(63\)"
+    with pytest.raises(ConfigError, match=message):
+        load(tmp_path, "bga.population = 8\nbga.crossover_points = 70\n")
+    with pytest.raises(ConfigError, match=r":1: bga\.crossover_points: .*\(31\), got 32"):
+        load(tmp_path, "bga.crossover_points = 32\nbga.bits_per_variable = 8\n")
+    assert load(tmp_path, "bga.crossover_points = 63\n").hgapso.bga.crossover_points == 63
+
+
+def test_negative_base_seed_names_the_key(tmp_path):
+    message = r":2: bench\.base_seed: base_seed must be >= 0 \(got -1\)"
+    with pytest.raises(ConfigError, match=message):
+        load(tmp_path, "bench.repeats = 2\nbench.base_seed = -1\n")
+    assert load(tmp_path, "bench.base_seed = 0\n").bench.base_seed == 0

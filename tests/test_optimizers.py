@@ -128,6 +128,26 @@ def test_elite_count_rounding():
     assert elite_count(1.0, 50) == 50
 
 
+@pytest.mark.parametrize("name", ["bga", "hgapso"])
+def test_crossover_points_are_checked_against_the_chromosome(name):
+    # 16 bits x 4 variables leave 63 cut positions
+    bga = BgaParams(population=8, iterations=2, crossover_points=70)
+    fn, params = {
+        "bga": (optimize_bga, bga),
+        "hgapso": (optimize_hgapso, HgapsoParams(population=8, iterations=2, bga=bga)),
+    }[name]
+    message = r"crossover_points must be <= chromosome length - 1 \(63\), got 70"
+    with pytest.raises(ValueError, match=message):
+        fn(sphere, BOX, params, seed=1)
+
+
+@pytest.mark.parametrize("name", ["pso", "abc", "bga", "hgapso"])
+def test_negative_seed_is_rejected(name):
+    fn, params = FAST[name]
+    with pytest.raises(ValueError, match=r"^seed must be >= 0 \(got -1\)$"):
+        fn(sphere, BOX, params, seed=-1)
+
+
 def test_tiny_hybrid_population_runs():
     params = HgapsoParams(population=2, iterations=30, breeding_ratio=0.5)
     result = optimize_hgapso(sphere, BOX, params, seed=2)
