@@ -39,6 +39,7 @@ from .optimizers import (
     PsoParams,
     RunResult,
 )
+from .optimizers.bga import chromosome_length
 from .optimizers.common import require_finite, require_seed
 
 RESULTS_HEADER = [
@@ -97,6 +98,14 @@ class ExperimentPlan(BenchSettings):
     objective: ObjectiveSpec = field(default_factory=ObjectiveSpec)
     optimizer_params: dict = field(default_factory=default_optimizer_params)
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        # reject bga settings that no BGA or HGAPSO run could breed with
+        hgapso = self.optimizer_params.get("hgapso")
+        for bga in (self.optimizer_params.get("bga"), hgapso and hgapso.bga):
+            if bga is not None:
+                chromosome_length(bga, self.objective.bounds.dimension)
+
 
 @dataclass
 class ResultRow:
@@ -134,33 +143,35 @@ class SummaryRow:
     worst: float
 
 
-def _with_iterations(params, budget: int):
-    return dataclasses.replace(params, iterations=budget)
+def _failed(task, exc: Exception) -> ResultRow:
+    return ResultRow(*task[:4], status="failed", error=f"{type(exc).__name__}: {exc}")
 
 
 def _execute_run(task) -> ResultRow:
     """Run one (algorithm, budget, experiment) cell; exceptions become a
     failed row so the plan keeps going."""
     algorithm, budget, experiment, seed, cfg, spec, params = task
-    row = ResultRow(algorithm=algorithm, budget=budget, experiment=experiment, seed=seed)
     try:
         objective = make_objective(cfg, spec)
-        result = OPTIMIZERS[algorithm](
-            objective, spec.bounds, _with_iterations(params, budget), seed
-        )
+        params = dataclasses.replace(params, iterations=budget)
+        result = OPTIMIZERS[algorithm](objective, spec.bounds, params, seed)
         dv = DecisionVector.from_array(result.best_x)
-        breakdown = evaluate(cfg, dv, spec)
-        row.m1, row.m2, row.phi1, row.phi2 = dv.m_1, dv.m_2, dv.phi_1, dv.phi_2
-        row.raw_cost = breakdown.raw_cost
-        row.c1 = breakdown.c1
-        row.c2 = breakdown.c2
-        row.total_cost = breakdown.total
-        row.wall_time_s = result.wall_time
-        row.result = result
+        cost = evaluate(cfg, dv, spec)
     except Exception as exc:
-        row.status = "failed"
-        row.error = f"{type(exc).__name__}: {exc}"
-    return row
+        return _failed(task, exc)
+    return ResultRow(
+        algorithm, budget, experiment, seed, dv.m_1, dv.m_2, dv.phi_1, dv.phi_2,
+        cost.raw_cost, cost.c1, cost.c2, cost.total, result.wall_time, result=result,
+    )
+
+
+def _collect(future, task) -> ResultRow:
+    """The row of a submitted run; a worker that died (BrokenProcessPool)
+    fails the runs it took with it."""
+    try:
+        return future.result()
+    except Exception as exc:
+        return _failed(task, exc)
 
 
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
@@ -170,7 +181,8 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     base_seed + r - 1, for every algorithm and budget, mirroring the
     "same initial conditions per experiment column" reading of the
     protocol.  Rows come back in deterministic (algorithm, budget,
-    experiment) order regardless of ``jobs``.
+    experiment) order regardless of ``jobs``.  A worker process that
+    crashes marks its own and every pending run failed, with the reason.
     """
     tasks = [
         (
@@ -189,7 +201,8 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     if jobs <= 1 or len(tasks) == 1:
         return [_execute_run(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_execute_run, tasks))
+        futures = [pool.submit(_execute_run, t) for t in tasks]
+        return [_collect(f, t) for f, t in zip(futures, tasks)]
 
 
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:

@@ -25,8 +25,8 @@ from pathlib import Path
 from . import bench as bench_mod
 from .config import AppConfig, ConfigError, optimizer_params_map, parse_config
 from .mechanism import DecisionVector
-from .objective import calibrate_bounds, evaluate
-from .optimizers import ALGORITHM_NAMES, OPTIMIZERS
+from .objective import calibrate_bounds
+from .optimizers import ALGORITHM_NAMES
 from .optimizers.common import require_seed
 
 EXIT_OK = 0
@@ -76,56 +76,45 @@ def _prepare_outputs(out_dir: str, names: list[str], force: bool) -> dict[str, P
     return targets
 
 
-def _run_params(config: AppConfig, algo: str, iters: int | None):
-    params = optimizer_params_map(config)[algo]
-    if iters is not None:
-        params = dataclasses.replace(params, iterations=iters)
-    return params
+def _plan(config: AppConfig, **settings) -> bench_mod.ExperimentPlan:
+    """A campaign over the config's mechanism, objective and optimizers."""
+    return bench_mod.ExperimentPlan(
+        **settings, mechanism=config.mechanism, objective=config.objective,
+        optimizer_params=optimizer_params_map(config),
+    )
 
 
 def cmd_balance(args) -> int:
+    """One run of the campaign's run path: a plan of one (algorithm,
+    budget, seed) cell."""
     config = _load_config(args.config)
     with _flags(iterations="--iters", seed="--seed"):
-        params = _run_params(config, args.algo, args.iters)
+        params = optimizer_params_map(config)[args.algo]
+        if args.iters is not None:
+            params = dataclasses.replace(params, iterations=args.iters)
         require_seed(args.seed)
     targets = _prepare_outputs(args.out, ["convergence.csv", "polar.csv"], args.force)
 
-    objective = bench_mod.make_objective(config.mechanism, config.objective)
-    try:
-        result = OPTIMIZERS[args.algo](objective, config.objective.bounds, params, args.seed)
-    except Exception as exc:
-        print(f"error: run aborted: {exc}", file=sys.stderr)
+    plan = _plan(
+        config, algorithms=(args.algo,), iteration_budgets=(params.iterations,), repeats=1,
+        base_seed=args.seed,
+    )
+    [row] = bench_mod.run_plan(plan)
+    if row.status != "ok":
+        print(f"error: run aborted: {row.error}", file=sys.stderr)
         return EXIT_RUN_FAILURE
 
-    dv = DecisionVector.from_array(result.best_x)
-    breakdown = evaluate(config.mechanism, dv, config.objective)
-    for name, value in [
-        ("algorithm", args.algo),
-        ("seed", args.seed),
-        ("iterations", params.iterations),
-        ("m1", dv.m_1),
-        ("m2", dv.m_2),
-        ("phi1", dv.phi_1),
-        ("phi2", dv.phi_2),
-        ("raw_cost", breakdown.raw_cost),
-        ("c1", breakdown.c1),
-        ("c2", breakdown.c2),
-        ("total_cost", breakdown.total),
-    ]:
-        print(f"{name:<12} {value:.10g}" if isinstance(value, float) else f"{name:<12} {value}")
+    print(f"{'algorithm':<12} {row.algorithm}")
+    print(f"{'seed':<12} {row.seed}")
+    print(f"{'iterations':<12} {row.budget}")
+    for name in bench_mod.RESULTS_HEADER[4:12]:  # m1 .. total_cost
+        print(f"{name:<12} {getattr(row, name):.10g}")
 
-    row = bench_mod.ResultRow(
-        algorithm=args.algo,
-        budget=params.iterations,
-        experiment=1,
-        seed=args.seed,
-        result=result,
-    )
     bench_mod.emit_convergence([row], targets["convergence.csv"])
     bench_mod.emit_polar(
         config.mechanism,
         DecisionVector.zero(),
-        [(args.algo, dv)],
+        [(args.algo, DecisionVector.from_array(row.result.best_x))],
         config.objective.n_samples,
         targets["polar.csv"],
     )
@@ -166,13 +155,7 @@ def cmd_bench(args) -> int:
         ["results.csv", "summary.csv", "convergence.csv", "runtime.csv"],
         args.force,
     )
-    plan = bench_mod.ExperimentPlan(
-        **vars(config.bench),
-        mechanism=config.mechanism,
-        objective=config.objective,
-        optimizer_params=optimizer_params_map(config),
-    )
-    rows = bench_mod.run_plan(plan, jobs=args.jobs)
+    rows = bench_mod.run_plan(_plan(config, **vars(config.bench)), jobs=args.jobs)
     bench_mod.write_results(rows, targets["results.csv"])
     bench_mod.write_summary(bench_mod.summarize(rows), targets["summary.csv"])
     bench_mod.emit_convergence(rows, targets["convergence.csv"])
@@ -231,22 +214,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, *, writes_files):
         p = sub.add_parser(
             name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter
         )
         p.add_argument("--config", default=None, help="config file (section.key = value lines)")
+        if writes_files:
+            p.add_argument("--out", default="out", help="output directory")
+            p.add_argument("--force", action="store_true", help="overwrite existing output files")
         p.set_defaults(func=func)
         return p
 
-    p = add("balance", cmd_balance, "run one balancing optimization")
+    p = add("balance", cmd_balance, "run one balancing optimization", writes_files=True)
     p.add_argument("--algo", choices=ALGORITHM_NAMES, default="pso", help="optimizer")
     p.add_argument("--iters", type=int, default=None, help="iteration budget (default: from config)")
     p.add_argument("--seed", type=int, default=1, help="random seed")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--force", action="store_true", help="overwrite existing output files")
 
-    p = add("calibrate", cmd_calibrate, "recommend c1_max/c2_max from random sampling")
+    p = add("calibrate", cmd_calibrate, "recommend c1_max/c2_max from random sampling",
+              writes_files=False)
     p.add_argument("--samples", type=int, default=10000, help="number of random decision vectors")
     p.add_argument("--fraction", type=float, default=0.5, help="fraction of the observed maxima")
     p.add_argument("--seed", type=int, default=0, help="random seed")
@@ -255,16 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a config copy with the recommended bounds filled in",
     )
 
-    p = add("bench", cmd_bench, "run the full benchmark campaign")
-    p.add_argument("--out", default="out", help="output directory")
+    p = add("bench", cmd_bench, "run the full benchmark campaign", writes_files=True)
     p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel runs")
-    p.add_argument("--force", action="store_true", help="overwrite existing output files")
 
-    p = add("profile", cmd_profile, "polar cost profiles for named solutions")
+    p = add("profile", cmd_profile, "polar cost profiles for named solutions", writes_files=True)
     p.add_argument("--solutions", required=True, help="CSV of solutions (name,m1,m2,phi1,phi2)")
     p.add_argument("--samples", type=int, default=360, help="theta grid resolution")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--force", action="store_true", help="overwrite existing output files")
 
     return parser
 

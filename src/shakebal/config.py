@@ -11,7 +11,9 @@ line and key.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import dataclass, field
 
 from .bench import BenchSettings
@@ -36,40 +38,28 @@ class AppConfig:
     bench: BenchSettings = field(default_factory=BenchSettings)
 
 
-# (section, key) -> value kind; key names match the dataclass fields
-_KEYS = {
-    "mechanism": {
-        "m_c": "float", "m_p": "float", "R": "float", "L": "float", "omega": "float",
-        "m_0": "float", "R_0": "float", "alpha": "angle", "a_1": "float", "a_2": "float",
-        "theta_0": "angle", "r_1": "float", "r_2": "float",
-    },
-    "objective": {
-        "n_samples": "int", "c1_max": "float", "c2_max": "float", "penalty_weight": "float",
-        "m1_min": "float", "m1_max": "float", "m2_min": "float", "m2_max": "float",
-        "phi1_min": "angle", "phi1_max": "angle", "phi2_min": "angle", "phi2_max": "angle",
-    },
-    "pso": {
-        "population": "int", "iterations": "int", "c1": "float", "c2": "float",
-        "w_max": "float", "w_min": "float", "v_max_fraction": "float",
-    },
-    "abc": {"food_sources": "int", "iterations": "int", "limit": "int"},
-    "bga": {
-        "population": "int", "iterations": "int", "bits_per_variable": "int",
-        "crossover_points": "int", "crossover_prob": "float",
-        "mutation_prob_per_bit": "float", "elitism": "int",
-    },
-    "hgapso": {"population": "int", "iterations": "int", "breeding_ratio": "float"},
-    "bench": {
-        "algorithms": "names", "iteration_budgets": "ints",
-        "repeats": "int", "base_seed": "int",
-    },
+# The keys are the scalar fields of AppConfig's sections, plus the
+# objective's search-box keys, (lower, upper) per decision variable, which
+# set ObjectiveSpec.bounds.  Angle keys take a rad/deg suffix.
+_BOUND_KEYS = tuple((f"{v}_min", f"{v}_max") for v in ("m1", "m2", "phi1", "phi2"))
+_ANGLE_KEYS = {"alpha", "theta_0", *_BOUND_KEYS[2], *_BOUND_KEYS[3]}
+# field annotation -> value kind; fields of any other type are not keys
+_KINDS = {
+    "float": "float", "float | None": "float", "int": "int",
+    "tuple[str, ...]": "names", "tuple[int, ...]": "ints",
 }
 
-_BOUND_KEYS = ("m1_min", "m1_max", "m2_min", "m2_max", "phi1_min", "phi1_max", "phi2_min", "phi2_max")
+
+def _kind(key: str, annotation: str) -> str:
+    return "angle" if key in _ANGLE_KEYS else _KINDS[annotation]
 
 
-def _parse_number(text: str) -> float:
-    return float(text)
+# section -> {key: value kind}
+_KEYS = {
+    section: {f.name: _kind(f.name, f.type) for f in dataclasses.fields(cls) if f.type in _KINDS}
+    for section, cls in typing.get_type_hints(AppConfig).items()
+}
+_KEYS["objective"].update((key, _kind(key, "float")) for key in sum(_BOUND_KEYS, ()))
 
 
 def _parse_angle(text: str) -> float:
@@ -80,21 +70,21 @@ def _parse_angle(text: str) -> float:
     return float(text)
 
 
-def _parse_value(kind: str, text: str):
-    if kind == "float":
-        return _parse_number(text)
-    if kind == "angle":
-        return _parse_angle(text)
-    if kind == "int":
-        value = float(text)
-        if not math.isfinite(value) or value != int(value):
-            raise ValueError(f"expected an integer, got {text!r}")
-        return int(value)
-    if kind == "names":
-        return tuple(part.strip() for part in text.split(",") if part.strip())
-    if kind == "ints":
-        return tuple(int(part.strip()) for part in text.split(",") if part.strip())
-    raise AssertionError(kind)
+def _parse_int(text: str) -> int:
+    value = float(text)
+    if not math.isfinite(value) or value != int(value):
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(value)
+
+
+def _parse_list(convert):
+    return lambda text: tuple(convert(part.strip()) for part in text.split(",") if part.strip())
+
+
+_PARSERS = {
+    "float": float, "angle": _parse_angle, "int": _parse_int,
+    "names": _parse_list(str), "ints": _parse_list(int),
+}
 
 
 def _read_assignments(path) -> dict[tuple[str, str], tuple[object, int]]:
@@ -118,7 +108,7 @@ def _read_assignments(path) -> dict[tuple[str, str], tuple[object, int]]:
             if not text:
                 raise ConfigError(f"{path}:{lineno}: {section}.{key}: empty value")
             try:
-                value = _parse_value(_KEYS[section][key], text)
+                value = _PARSERS[_KEYS[section][key]](text)
             except ValueError as exc:
                 raise ConfigError(
                     f"{path}:{lineno}: {section}.{key}: malformed value {text!r} ({exc})"
@@ -160,17 +150,10 @@ def parse_config(path) -> AppConfig:
     mechanism = _build_section(path, "mechanism", section_fields("mechanism"), lines, MechanismConfig)
 
     obj_fields = section_fields("objective")
-    bound_overrides = {k: obj_fields.pop(k) for k in _BOUND_KEYS if k in obj_fields}
+    bound_overrides = {k: obj_fields.pop(k) for pair in _BOUND_KEYS for k in pair if k in obj_fields}
     base = default_search_bounds(mechanism)
-    lower = base.lower.copy()
-    upper = base.upper.copy()
-    for idx, (lo_key, hi_key) in enumerate(
-        [("m1_min", "m1_max"), ("m2_min", "m2_max"), ("phi1_min", "phi1_max"), ("phi2_min", "phi2_max")]
-    ):
-        if lo_key in bound_overrides:
-            lower[idx] = bound_overrides[lo_key]
-        if hi_key in bound_overrides:
-            upper[idx] = bound_overrides[hi_key]
+    lower = [bound_overrides.get(lo, v) for (lo, _), v in zip(_BOUND_KEYS, base.lower)]
+    upper = [bound_overrides.get(hi, v) for (_, hi), v in zip(_BOUND_KEYS, base.upper)]
     try:
         bounds = Bounds(lower, upper)
     except ValueError as exc:
@@ -199,15 +182,7 @@ def parse_config(path) -> AppConfig:
     )
     bench = _build_section(path, "bench", section_fields("bench"), lines, BenchSettings)
 
-    return AppConfig(
-        mechanism=mechanism,
-        objective=objective,
-        pso=pso,
-        abc=abc,
-        bga=bga,
-        hgapso=hgapso,
-        bench=bench,
-    )
+    return AppConfig(mechanism, objective, pso, abc, bga, hgapso, bench)
 
 
 def optimizer_params_map(config: AppConfig) -> dict:

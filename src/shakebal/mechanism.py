@@ -27,6 +27,8 @@ from .optimizers.common import require_finite
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
+# largest theta grid: 8 MiB per float array
+MAX_GRID_SAMPLES = 2**20
 
 
 def wrap_angle(angle: float) -> float:
@@ -251,14 +253,21 @@ def moment_y(cfg: MechanismConfig, dv: DecisionVector, theta):
     return profile_arrays(cfg, dv, theta)[3]
 
 
+def require_grid_size(n_samples: int) -> None:
+    """Reject a theta grid too coarse to show a profile (< 8 points) or too
+    large to allocate (> MAX_GRID_SAMPLES)."""
+    if n_samples < 8:
+        raise ValueError(f"n_samples must be >= 8 (got {n_samples})")
+    if n_samples > MAX_GRID_SAMPLES:
+        raise ValueError(f"n_samples must be <= {MAX_GRID_SAMPLES} (got {n_samples})")
+
+
 def theta_grid(n_samples: int) -> np.ndarray:
     """Uniform grid theta_k = 2*pi*k/n, k = 0..n-1 (endpoint excluded).
 
     The profiles are 2*pi-periodic, so the missing endpoint repeats k = 0.
-    Rejects n_samples < 8: coarser grids make the downstream quadrature
-    meaningless.
+    Rejects a size outside [8, MAX_GRID_SAMPLES] before allocating.
     """
-    if n_samples < 8:
-        raise ValueError(f"n_samples must be >= 8 (got {n_samples})")
+    require_grid_size(n_samples)
     return TWO_PI * np.arange(n_samples) / n_samples
 

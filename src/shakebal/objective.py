@@ -36,7 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mechanism import HALF_PI, TWO_PI, DecisionVector, MechanismConfig, half_square_integral
+from .mechanism import (
+    HALF_PI, TWO_PI, DecisionVector, MechanismConfig, half_square_integral, require_grid_size,
+)
 from .optimizers.common import Bounds, require_finite, substream
 
 # Below this ratio of second- to first-harmonic amplitude, p1 is cut at the
@@ -75,8 +77,7 @@ class ObjectiveSpec:
 
     def __post_init__(self) -> None:
         require_finite(self)
-        if self.n_samples < 8:
-            raise ValueError(f"n_samples must be >= 8 (got {self.n_samples})")
+        require_grid_size(self.n_samples)
         if self.c1_max <= 0:
             raise ValueError(f"c1_max must be > 0 (got {self.c1_max})")
         if self.c2_max <= 0:

@@ -4,6 +4,8 @@ round-trips."""
 import csv
 import dataclasses
 import math
+import multiprocessing
+import os
 import re
 from pathlib import Path
 
@@ -30,7 +32,7 @@ from shakebal.bench import (
 )
 from shakebal.mechanism import DecisionVector, MechanismConfig
 from shakebal.objective import ObjectiveSpec, default_search_bounds
-from shakebal.optimizers import AbcParams, BgaParams, HgapsoParams, PsoParams, RunResult
+from shakebal.optimizers import OPTIMIZERS, AbcParams, BgaParams, HgapsoParams, PsoParams, RunResult
 
 from _oracles import polar_area_oracle
 
@@ -104,6 +106,23 @@ def test_failed_runs_stay_in_the_table():
     assert all(r.status == "failed" for r in rows)
     assert all(r.total_cost is None for r in rows)
     assert [r.seed for r in rows] == [1, 2]
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched optimizer reaches the workers only through fork",
+)
+def test_worker_crash_fails_its_rows_and_the_plan_goes_on(tmp_path, monkeypatch):
+    def crash(*args):
+        os._exit(3)
+
+    monkeypatch.setitem(OPTIMIZERS, "pso", crash)
+    rows = run_plan(tiny_plan(algorithms=("pso",), repeats=3), jobs=2)
+    assert [(r.algorithm, r.experiment, r.seed) for r in rows] == [("pso", k, k) for k in (1, 2, 3)]
+    assert [r.status for r in rows] == ["failed"] * 3
+    assert all(r.error.startswith("BrokenProcessPool: ") for r in rows)
+    write_results(rows, tmp_path / "results.csv")
+    assert [r.status for r in parse_results(tmp_path / "results.csv")] == ["failed"] * 3
 
 
 def test_failed_run_records_its_reason(tmp_path):
@@ -311,6 +330,21 @@ def test_plan_validation():
         ExperimentPlan(repeats=0)
     with pytest.raises(ValueError, match="budgets"):
         ExperimentPlan(iteration_budgets=())
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"bga": BgaParams(crossover_points=70)},
+        {"hgapso": HgapsoParams(bga=BgaParams(crossover_points=70))},
+        {"pso": PsoParams(), "bga": BgaParams(bits_per_variable=8, crossover_points=32)},
+    ],
+)
+def test_plan_rejects_crossover_points_no_chromosome_has(params):
+    # 16 bits x 4 variables leave 63 cut positions, 8 bits x 4 leave 31
+    with pytest.raises(ValueError, match=r"crossover_points must be <= chromosome length - 1"):
+        ExperimentPlan(algorithms=("pso",), optimizer_params=params)
+    ExperimentPlan(optimizer_params={"bga": BgaParams(crossover_points=63)})
 
 
 def test_negative_base_seed_is_rejected():

@@ -4,6 +4,7 @@ import csv
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from shakebal.bench import parse_results
@@ -160,6 +161,35 @@ def test_bad_flag_value_exits_1_with_one_line(tmp_path, capsys, argv, message):
     assert main([paths.get(arg, arg) for arg in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "o" / "polar.csv").exists()
+
+
+def test_oversized_grid_exits_1_before_any_allocation(fast_cfg, tmp_path, capsys, monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("the grid was allocated before its size was checked")
+
+    bad = tmp_path / "big.cfg"
+    bad.write_text("objective.n_samples = 1e9\n")
+    assert main(["balance", "--config", str(bad), "--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:1: objective.n_samples: n_samples must be <= 1048576 (got 1000000000)\n"
+    solutions = tmp_path / "solutions.csv"
+    solutions.write_text("name,m1,m2,phi1,phi2\nguess,0.2,0.0,3.14159,0.0\n")
+    monkeypatch.setattr(np, "arange", no_allocation)
+    argv = ["profile", "--config", fast_cfg, "--solutions", str(solutions),
+            "--samples", "1000000000", "--out", str(tmp_path / "p")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --samples: n_samples must be <= 1048576 (got 1000000000)\n"
+    assert not (tmp_path / "p" / "polar.csv").exists()
+
+
+def test_balance_failure_gives_the_reason(fast_cfg, tmp_path, capsys):
+    doomed = tmp_path / "doomed.cfg"
+    doomed.write_text(FAST_CFG + "objective.penalty_weight = 1e308\nobjective.c1_max = 1e-12\n")
+    assert main(["balance", "--config", str(doomed), "--out", str(tmp_path / "b")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: run aborted: NonFiniteObjectiveError: ")
+    assert len(captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("key, value", [("bga.crossover_points", "70"), ("bench.base_seed", "-1")])

@@ -1,10 +1,12 @@
 """Config-file format: defaults, unit suffixes, overrides and diagnostics."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
-from shakebal.config import AppConfig, BenchSettings, ConfigError, parse_config
+from shakebal.config import _BOUND_KEYS, _KEYS, AppConfig, BenchSettings, ConfigError, parse_config
 from shakebal.mechanism import MechanismConfig
 from shakebal.objective import DEFAULT_C1_MAX
 
@@ -180,3 +182,47 @@ def test_negative_base_seed_names_the_key(tmp_path):
     with pytest.raises(ConfigError, match=message):
         load(tmp_path, "bench.repeats = 2\nbench.base_seed = -1\n")
     assert load(tmp_path, "bench.base_seed = 0\n").bench.base_seed == 0
+
+
+def test_oversized_grid_names_the_key(tmp_path):
+    message = r":2: objective\.n_samples: n_samples must be <= 1048576 \(got 1000000000\)"
+    with pytest.raises(ConfigError, match=message):
+        load(tmp_path, "objective.c1_max = 1e5\nobjective.n_samples = 1e9\n")
+
+
+def _written(value) -> str:
+    """A default as the file would spell it."""
+    if isinstance(value, tuple):
+        return ", ".join(map(str, value))
+    return repr(value)
+
+
+def test_every_key_round_trips_its_default(tmp_path):
+    defaults = AppConfig()
+    values = {
+        (section, key): getattr(getattr(defaults, section), key, None)
+        for section, keys in _KEYS.items()
+        for key in keys
+    }
+    box = defaults.objective.bounds
+    for j, (lo, hi) in enumerate(_BOUND_KEYS):
+        values[("objective", lo)] = float(box.lower[j])
+        values[("objective", hi)] = float(box.upper[j])
+    # None (BGA's per-bit mutation rate, resolved at run time) has no spelling
+    unset = [name for name, value in values.items() if value is None]
+    assert unset == [("bga", "mutation_prob_per_bit")]
+    text = "".join(
+        f"{section}.{key} = {_written(value)}\n"
+        for (section, key), value in values.items()
+        if value is not None
+    )
+    assert len(text.splitlines()) == 48
+    assert load(tmp_path, text) == defaults
+
+
+def test_readme_config_block_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+    cfg = load(tmp_path, block)
+    assert cfg.objective.bounds.upper[0] == 10.0
+    assert cfg.mechanism.theta_0 == pytest.approx(math.pi)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from shakebal.mechanism import (
+    MAX_GRID_SAMPLES,
     DecisionVector,
     MechanismConfig,
     force_x,
@@ -158,6 +159,15 @@ def test_sample_profile_grid_definition():
 def test_sample_profile_rejects_tiny_grids():
     with pytest.raises(ValueError, match="n_samples"):
         theta_grid(7)
+
+
+def test_theta_grid_rejects_a_huge_grid_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("theta_grid allocated before checking the size")
+
+    monkeypatch.setattr(np, "arange", no_allocation)
+    with pytest.raises(ValueError, match=rf"n_samples must be <= {MAX_GRID_SAMPLES} \(got 1000000000\)"):
+        theta_grid(10**9)
 
 
 def test_sample_profile_zero_masses():

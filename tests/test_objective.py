@@ -262,6 +262,14 @@ def test_spec_validation():
         Bounds(np.array([1.0]), np.array([0.0]))
 
 
+def test_spec_grid_size_is_bounded_both_ways():
+    with pytest.raises(ValueError, match=r"^n_samples must be >= 8 \(got 4\)$"):
+        ObjectiveSpec(n_samples=4)
+    with pytest.raises(ValueError, match=r"^n_samples must be <= 1048576 \(got 1000000000\)$"):
+        ObjectiveSpec(n_samples=10**9)
+    assert ObjectiveSpec(n_samples=2**20).n_samples == 2**20
+
+
 def test_spec_rejects_non_finite_values_and_negative_mass_bounds():
     for field in ("c1_max", "c2_max", "penalty_weight"):
         for bad in (math.nan, math.inf):
