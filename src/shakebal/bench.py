@@ -24,6 +24,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,6 +176,19 @@ def _collect(future, task) -> ResultRow:
         return _failed(task, exc)
 
 
+def _run_alone(tasks, jobs: int) -> list[ResultRow]:
+    """Rows of ``tasks``, each run on a fresh pool of its own, ``jobs``
+    pools at a time: a worker that dies fails only its own run."""
+    rows = []
+    for start in range(0, len(tasks), jobs):
+        wave = tasks[start:start + jobs]
+        with ExitStack() as stack:
+            pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in wave]
+            futures = [pool.submit(_execute_run, t) for pool, t in zip(pools, wave)]
+            rows += [_collect(f, t) for f, t in zip(futures, wave)]
+    return rows
+
+
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     """Execute every (algorithm, budget, repeat) cell of the plan.
 
@@ -182,7 +197,9 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     "same initial conditions per experiment column" reading of the
     protocol.  Rows come back in deterministic (algorithm, budget,
     experiment) order regardless of ``jobs``.  A worker process that
-    crashes marks its own and every pending run failed, with the reason.
+    crashes breaks the pool and every run still pending on it; each of
+    those runs once more on a fresh pool of its own, and one that crashes
+    again stays failed, with the reason.
     """
     tasks = [
         (
@@ -202,7 +219,11 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
         return [_execute_run(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(_execute_run, t) for t in tasks]
-        return [_collect(f, t) for f, t in zip(futures, tasks)]
+        rows = [_collect(f, t) for f, t in zip(futures, tasks)]
+    lost = [i for i, f in enumerate(futures) if isinstance(f.exception(), BrokenProcessPool)]
+    for i, row in zip(lost, _run_alone([tasks[i] for i in lost], jobs)):
+        rows[i] = row
+    return rows
 
 
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:

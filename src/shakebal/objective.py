@@ -30,9 +30,9 @@ such as the plotted profiles of ``polar.csv``; the cost does not use it.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .optimizers.common import Bounds, require_finite, substream
 # Below this ratio of second- to first-harmonic amplitude, p1 is cut at the
 # zeros of its first harmonic (see _abs_product_integral).
 SECOND_HARMONIC_CUTOFF = 1e-8
-
 # Constraint bounds used when a config file does not set them: half of the
 # largest C1/C2 seen over 10^4 uniform samples of the default search box on
 # the default mechanism (calibrate_bounds with fraction=0.5, seed=0).
@@ -130,26 +129,132 @@ def _line_zeros(c, s, atan2=math.atan2) -> list:
     return [beta - HALF_PI, beta + HALF_PI]
 
 
-# rows 2..4 of the companion matrix below
-_COMPANION_SHIFT = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0))
+# The zeros of p = c1 cos t + s1 sin t + c2 cos 2t + s2 sin 2t, in closed
+# form (_quartic_zeros).  With x = tan(u/2), (1 + x**2)**2 * p(u + tau) is
+# a quartic in x whose leading coefficient is p(tau + pi); the pivot tau of
+# largest |p(tau + pi)| keeps it away from 0 (the four values vanish
+# together only for p == 0), so every root x is bounded.  The formula
+# helpers below take floats or columns, like ``_antiderivative``.
+_PIVOTS = (0.0, 0.25 * math.pi, HALF_PI, 0.75 * math.pi)
+_SQRT_HALF = math.sqrt(0.5)
 
 
-def _companion_top(c1: float, s1: float, c2: float, s2: float) -> list[complex]:
-    """First row of the companion matrix of z**2 * p(t) at z = exp(i*t),
-    for p = c1 cos t + s1 sin t + c2 cos 2t + s2 sin 2t with (c2, s2) != 0;
-    the other rows are ``_COMPANION_SHIFT``."""
-    lead = complex(c2, -s2)
-    return [-complex(c1, -s1) / lead, 0.0, -complex(c1, s1) / lead, -complex(c2, s2) / lead]
+def _pivot_rows(c1, s1, c2, s2) -> list:
+    """Coefficients of p(u + tau) for each tau of ``_PIVOTS``."""
+    r = _SQRT_HALF
+    return [
+        (c1, s1, c2, s2),
+        (r * (c1 + s1), r * (s1 - c1), s2, -c2),
+        (s1, -c1, -c2, -s2),
+        (r * (s1 - c1), -r * (s1 + c1), -s2, c2),
+    ]
 
 
-def _quartic_zero_angles(c1: float, s1: float, c2: float, s2: float) -> list[float]:
-    """Arguments of all four roots of the quartic of ``_companion_top``.
+def _depressed_quartic(c1, s1, c2, s2) -> tuple:
+    """(shift, P, Q, R): the zeros u of the row are u = 2 atan(y - shift)
+    for the roots y of y**4 + P y**2 + Q y + R."""
+    lead = c2 - c1
+    b = (2.0 * s1 - 4.0 * s2) / lead
+    c = -6.0 * c2 / lead
+    d = (2.0 * s1 + 4.0 * s2) / lead
+    e = (c1 + c2) / lead
+    shift = 0.25 * b
+    shift2 = shift * shift
+    P = c - 6.0 * shift2
+    Q = d - 2.0 * shift * (c - 4.0 * shift2)
+    R = e - shift * (d - shift * (c - 3.0 * shift2))
+    return shift, P, Q, R
 
-    Real zeros of p are the unit-modulus roots; they are found as the
-    eigenvalues of the companion matrix (Boyd, J. Eng. Math. 56, 2006).
+
+def _resolvent(P, Q, R) -> tuple:
+    """(p, q, disc) of Ferrari's resolvent m**3 + P m**2 + (P**2/4 - R) m
+    - Q**2/8, depressed to z**3 + p z + q by m = z - P/3; disc > 0 when it
+    has one real root."""
+    p = -P * P / 12.0 - R
+    q = P * (R / 3.0 - P * P / 108.0) - Q * Q / 8.0
+    return p, q, 0.25 * q * q + p * p * p / 27.0
+
+
+def _one_real_root(p, q, disc, sqrt, cbrt, copysign):
+    """The real root of z**3 + p z + q when disc > 0 (Cardano, with the
+    cube root taken where nothing cancels)."""
+    u = cbrt(-0.5 * q - copysign(sqrt(disc), q))
+    return u - p / (3.0 * u)
+
+
+def _largest_of_three(rho, cos_3phi, acos, cos):
+    """The largest root 2 rho cos(phi) of z**3 + p z + q when disc <= 0,
+    with rho = sqrt(-p/3) and cos(3 phi) = -q / (2 rho**3)."""
+    return 2.0 * rho * cos(acos(cos_3phi) / 3.0)
+
+
+def _ferrari_roots(P, Q, R, m, sqrt, copysign, positive) -> list:
+    """The four roots y of y**4 + P y**2 + Q y + R, with m >= 0 the
+    largest resolvent root, as the roots of y**2 -+ s y + P/2 + m +- T,
+    s = sqrt(2 m) and T = Q / (2 s).
+
+    T is taken as sign(Q) sqrt((P/2 + m)**2 - R), which does not divide by
+    a small s; at m = 0 (Q = 0) the two factors are the biquadratic's.  A
+    complex pair gives its real part twice.
     """
-    companion = np.array([_companion_top(c1, s1, c2, s2), *_COMPANION_SHIFT])
-    return [cmath.phase(z) for z in np.linalg.eigvals(companion).tolist()]
+    half = 0.5 * sqrt(2.0 * m)
+    base = 0.5 * P + m
+    t = copysign(sqrt(positive(base * base - R)), Q)
+    w1 = sqrt(positive(half * half - base - t))
+    w2 = sqrt(positive(half * half - base + t))
+    return [half - w1, half + w1, -half - w2, -half + w2]
+
+
+def _value_and_slope(row, t, cos, sin) -> tuple:
+    """p(t) and p'(t) for the row (c1, s1, c2, s2)."""
+    c1, s1, c2, s2 = row
+    cos_t, sin_t = cos(t), sin(t)
+    cos_2t = 2.0 * cos_t * cos_t - 1.0
+    sin_2t = 2.0 * sin_t * cos_t
+    value = c1 * cos_t + s1 * sin_t + c2 * cos_2t + s2 * sin_2t
+    slope = s1 * cos_t - c1 * sin_t + 2.0 * (s2 * cos_2t - c2 * sin_2t)
+    return value, slope
+
+
+def _cbrt(x: float) -> float:
+    """Real cube root (math.cbrt needs Python 3.11)."""
+    return math.copysign(abs(x) ** (1.0 / 3.0), x)
+
+
+def _quartic_zeros(c1: float, s1: float, c2: float, s2: float) -> list[float]:
+    """Four cuts for p = c1 cos t + s1 sin t + c2 cos 2t + s2 sin 2t != 0:
+    every real zero, and the real part of each complex root pair, mapped
+    back to an angle.
+
+    The row is divided by its largest coefficient, so that nothing
+    overflows, and rotated to its pivot; the quartic is solved by Ferrari's
+    method with the largest resolvent root, and each zero takes one Newton
+    step on p.  A step of a radian or more is not taken: it comes from
+    between two zeros closer than the solver's error, where either cut
+    changes the integral by less than rounding.
+    """
+    big = max(abs(c1), abs(s1), abs(c2), abs(s2))
+    unit = (c1 / big, s1 / big, c2 / big, s2 / big)
+    pivots = _pivot_rows(*unit)
+    leads = [abs(row[2] - row[0]) for row in pivots]
+    k = leads.index(max(leads))
+    shift, P, Q, R = _depressed_quartic(*pivots[k])
+    p, q, disc = _resolvent(P, Q, R)
+    if disc > 0.0:
+        z = _one_real_root(p, q, disc, math.sqrt, _cbrt, math.copysign)
+    else:
+        rho = math.sqrt(max(0.0, -p / 3.0))
+        rho3 = rho * rho * rho
+        cos_3phi = min(1.0, max(-1.0, -0.5 * q / rho3)) if rho3 > 0.0 else 1.0
+        z = _largest_of_three(rho, cos_3phi, math.acos, math.cos)
+    m = max(0.0, z - P / 3.0)
+    ys = _ferrari_roots(P, Q, R, m, math.sqrt, math.copysign, partial(max, 0.0))
+    zeros = []
+    for y in ys:
+        t = 2.0 * math.atan(y - shift) + _PIVOTS[k]
+        value, slope = _value_and_slope(unit, t, math.cos, math.sin)
+        zeros.append(t - value / slope if abs(value) < abs(slope) else t)
+    return zeros
 
 
 def _antiderivative_coefficients(p1, p2) -> tuple:
@@ -210,8 +315,8 @@ def _abs_product_integral(p1, p2) -> float:
     the degree-3 product is integrated exactly on each piece through its
     antiderivative Q; the integral is sum |Q(t_i+1) - Q(t_i)|.  Cutting
     inside an interval of constant sign leaves the sum unchanged, so every
-    root argument is used as a cut, whatever its modulus: no tolerance is
-    needed and tangent zeros are harmless.
+    root of p1's quartic is used as a cut, a complex pair at its real
+    part: no tolerance is needed and tangent zeros are harmless.
     """
     c1, s1, c2, s2 = p1
     a, b = p2
@@ -228,19 +333,49 @@ def _abs_product_integral(p1, p2) -> float:
             return 0.0
         cuts = _line_zeros(c1, s1)
     else:
-        cuts = _quartic_zero_angles(c1, s1, c2, s2)
+        cuts = _quartic_zeros(c1, s1, c2, s2)
     cuts = sorted([t % TWO_PI for t in cuts + _line_zeros(a, b)])
     k = _antiderivative_coefficients(p1, p2)
     return _variation(k[0], _antiderivative(k, cuts, math.cos, math.sin))
 
 
 def _columns(fn, *columns) -> np.ndarray:
-    """A math/cmath function applied per element, as a float array."""
+    """A math function applied per element, as a float array.
+
+    numpy's hypot, arctan2, arctan, arccos and cbrt differ from libm's in
+    the last bit on some hosts (AVX-512 builds), so the batched kernel
+    sends hypot, atan2, atan, acos and the cube root through ``math`` per
+    element.  Its + - * / sqrt, cos and sin are numpy's, which agree with
+    ``math``.
+    """
     return np.frompyfunc(fn, len(columns), 1)(*columns).astype(float)
 
 
 def _atan2_columns(s: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _columns(math.atan2, s, c)
+
+
+def _quartic_zero_columns(c1, s1, c2, s2) -> np.ndarray:
+    """``_quartic_zeros`` of every row of coefficient columns, bit for bit,
+    as an (M, 4) array: the same formulas, each branch taken per row."""
+    big = np.max(np.abs([c1, s1, c2, s2]), axis=0)
+    unit = (c1 / big, s1 / big, c2 / big, s2 / big)
+    pivots = np.array(_pivot_rows(*unit))
+    # the first largest |lead|, as list.index(max(...)) takes it
+    k = np.argmax(np.abs(pivots[:, 2] - pivots[:, 0]), axis=0)
+    shift, P, Q, R = _depressed_quartic(*np.take_along_axis(pivots, k[None, None], axis=0)[0])
+    p, q, disc = _resolvent(P, Q, R)
+    # both branches on every row (math's functions pass NaN through), then one is kept
+    one = _one_real_root(p, q, disc, np.sqrt, partial(_columns, _cbrt), np.copysign)
+    rho = np.sqrt(_positive_part(-p / 3.0))
+    rho3 = rho * rho * rho
+    cos_3phi = np.where(rho3 > 0.0, np.clip(-0.5 * q / rho3, -1.0, 1.0), 1.0)
+    three = _largest_of_three(rho, cos_3phi, partial(_columns, math.acos), np.cos)
+    m = _positive_part(np.where(disc > 0.0, one, three) - P / 3.0)
+    y = np.stack(_ferrari_roots(P, Q, R, m, np.sqrt, np.copysign, _positive_part), axis=1)
+    t = 2.0 * _columns(math.atan, y - shift[:, None]) + np.take(_PIVOTS, k)[:, None]
+    value, slope = _value_and_slope(tuple(col[:, None] for col in unit), t, np.cos, np.sin)
+    return np.where(np.abs(value) < np.abs(slope), t - value / slope, t)
 
 
 def _cut_integrals(p1, p2, zeros: np.ndarray) -> np.ndarray:
@@ -258,13 +393,12 @@ def _abs_product_integrals(p1, p2) -> np.ndarray:
     """``_abs_product_integral`` of every row of coefficient columns, bit
     for bit.
 
-    Each row is cut where the scalar function cuts it.  hypot, atan2 and
-    the root arguments go through the math/cmath functions themselves
-    (numpy's differ in the last bit), the companion matrices are built from
-    ``_companion_top`` and solved in one stacked ``eigvals`` call, and every
-    sum runs in the scalar order.  Rows with non-finite coefficients or
-    companion entries are handed to the scalar function, so they give NaN
-    or fail exactly as it does.
+    Each row is cut where the scalar function cuts it, by
+    ``_quartic_zero_columns`` or ``_line_zeros``; every sum runs in the
+    scalar order, and the transcendental functions that numpy rounds
+    differently go through ``math`` per element (see ``_columns``).  Rows
+    with non-finite coefficients are handed to the scalar function, so
+    they give NaN exactly as it does.
     """
     c1, s1, c2, s2, a, b = np.broadcast_arrays(*p1, *p2)
 
@@ -278,17 +412,7 @@ def _abs_product_integrals(p1, p2) -> np.ndarray:
     regular = live & np.isfinite(np.stack([c1, s1, c2, s2, a, b, h1 + h2])).all(axis=0)
     quartic = regular & (h2 > SECOND_HARMONIC_CUTOFF * h1)
     if quartic.any():
-        companions = np.empty((np.count_nonzero(quartic), 4, 4), dtype=complex)
-        p1_rows = zip(*(col.tolist() for col in rows(quartic)[0]))
-        companions[:, 0] = [_companion_top(*row) for row in p1_rows]
-        companions[:, 1:] = _COMPANION_SHIFT
-        # eigvals refuses non-finite matrices: leave those rows to the scalar function
-        finite = np.isfinite(companions).all(axis=(1, 2))
-        regular[np.flatnonzero(quartic)[~finite]] = False
-        quartic &= regular
-        if quartic.any():
-            zeros = _columns(cmath.phase, np.linalg.eigvals(companions[finite]))
-            out[quartic] = _cut_integrals(*rows(quartic), zeros)
+        out[quartic] = _cut_integrals(*rows(quartic), _quartic_zero_columns(*rows(quartic)[0]))
     # h1 == 0 here means p1 == 0, whose integral stays 0
     line = regular & ~quartic & (h1 != 0.0)
     if line.any():

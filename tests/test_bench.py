@@ -125,6 +125,29 @@ def test_worker_crash_fails_its_rows_and_the_plan_goes_on(tmp_path, monkeypatch)
     assert [r.status for r in parse_results(tmp_path / "results.csv")] == ["failed"] * 3
 
 
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched optimizer reaches the workers only through fork",
+)
+def test_worker_crash_fails_only_its_own_run(tmp_path, monkeypatch):
+    plan = tiny_plan(algorithms=("pso",), repeats=3)
+    serial = run_plan(plan, jobs=1)
+    pso = OPTIMIZERS["pso"]
+
+    def crash_on_seed_1(objective, bounds, params, seed):
+        if seed == 1:
+            os._exit(3)
+        return pso(objective, bounds, params, seed)
+
+    monkeypatch.setitem(OPTIMIZERS, "pso", crash_on_seed_1)
+    rows = run_plan(plan, jobs=2)
+    assert [(r.experiment, r.status) for r in rows] == [(1, "failed"), (2, "ok"), (3, "ok")]
+    assert rows[0].error.startswith("BrokenProcessPool: ")
+    write_results(rows[1:], tmp_path / "parallel.csv")
+    write_results(serial[1:], tmp_path / "serial.csv")
+    assert results_equal_modulo_time(tmp_path / "serial.csv", tmp_path / "parallel.csv")
+
+
 def test_failed_run_records_its_reason(tmp_path):
     plan = tiny_plan(
         algorithms=("pso",),

@@ -10,6 +10,10 @@ from shakebal.mechanism import DecisionVector, MechanismConfig, profile_arrays, 
 from shakebal.objective import (
     GridEvaluator,
     ObjectiveSpec,
+    _abs_product_integral,
+    _abs_product_integrals,
+    _quartic_zero_columns,
+    _quartic_zeros,
     calibrate_bounds,
     default_search_bounds,
     evaluate,
@@ -281,6 +285,122 @@ def test_spec_rejects_non_finite_values_and_negative_mass_bounds():
         lower[j] = -1.0
         with pytest.raises(ValueError, match=name):
             ObjectiveSpec(bounds=Bounds(lower, box.upper))
+
+
+# ----------------------------------------------------------------------
+# zeros of p1 (closed-form quartic)
+# ----------------------------------------------------------------------
+
+def p_of(row, t):
+    c1, s1, c2, s2 = row
+    return c1 * np.cos(t) + s1 * np.sin(t) + c2 * np.cos(2 * t) + s2 * np.sin(2 * t)
+
+
+def sign_changes(row, n: int = 20_001) -> np.ndarray:
+    """Where p changes sign on an n-point grid over a turn, refined by
+    bisection to the last bits."""
+    t = np.linspace(0.0, 2 * math.pi, n)
+    v = p_of(row, t)
+    i = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)
+    lo, hi, sign_lo = t[i], t[i + 1], np.sign(v[i])
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        left = np.sign(p_of(row, mid)) == sign_lo
+        lo, hi = np.where(left, mid, lo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def assert_cuts_every_sign_change(row, zeros=None) -> None:
+    cuts = np.array(_quartic_zeros(*row))
+    for z in sign_changes(row) if zeros is None else zeros:
+        gap = np.abs((cuts - z + math.pi) % (2 * math.pi) - math.pi)
+        assert gap.min() <= 1e-9, (row, z, cuts)
+
+
+def assert_columns_match_rows(rows) -> None:
+    """_quartic_zero_columns and _abs_product_integrals give the scalar
+    results bit for bit, on the rows and on random p2 factors."""
+    rows = [tuple(map(float, row)) for row in rows]
+    p2 = [tuple(b) for b in np.random.default_rng(len(rows)).standard_normal((len(rows), 2))]
+    columns = tuple(np.array(col) for col in zip(*rows))
+    with np.errstate(all="ignore"):
+        zeros = _quartic_zero_columns(*columns)
+        areas = _abs_product_integrals(columns, tuple(np.array(col) for col in zip(*p2)))
+    assert [list(map(float.hex, z)) for z in zeros.tolist()] == [
+        list(map(float.hex, _quartic_zeros(*row))) for row in rows
+    ]
+    assert list(map(float.hex, areas.tolist())) == [
+        _abs_product_integral(row, b).hex() for row, b in zip(rows, p2)
+    ]
+
+
+def test_quartic_zeros_cut_every_sign_change_at_every_scale():
+    rng = np.random.default_rng(31)
+    rows = [rng.standard_normal(4) * 10.0 ** rng.uniform(-300, 300) for _ in range(150)]
+    # coefficients of very different sizes within one row
+    rows += [rng.standard_normal(4) * 10.0 ** rng.uniform(-8, 8, 4) for _ in range(150)]
+    for row in rows:
+        assert_cuts_every_sign_change(tuple(row))
+    assert_columns_match_rows(rows)
+
+
+def test_quartic_zeros_when_a_pivot_value_vanishes():
+    # p(tau + pi) = 0 for tau = 0, pi/4, pi/2, 3 pi/4 in turn
+    rng = np.random.default_rng(32)
+    r = math.sqrt(0.5)
+    rows = []
+    for c1, s1, c2, s2 in rng.standard_normal((40, 4)):
+        rows += [
+            (c1, s1, c1, s2),
+            (c1, s1, c2, r * (c1 + s1)),
+            (c1, -c2, c2, s2),
+            (c1, s1, c2, r * (c1 - s1)),
+        ]
+    # two, three and all four at once: p = cos 2t, sin 2t, cos t + cos 2t
+    rows += [(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0), (1.0, 0.0, 1.0, 0.0)]
+    for row in rows:
+        assert_cuts_every_sign_change(row)
+    assert_columns_match_rows(rows)
+
+
+def test_quartic_zeros_of_biquadratic_rows():
+    # even rows with c1 c2 < 0 pivot at tau = 0, where the depressed
+    # quartic has Q = 0; some of them have no real zero at all
+    rng = np.random.default_rng(33)
+    rows = [(c1, 0.0, -abs(c2) * np.sign(c1), 0.0) for c1, c2 in rng.standard_normal((100, 2))]
+    rows += [(-1.0, 0.0, 1.0, 0.0), (-1.0, 0.0, 4.0, 0.0), (-4.0, 0.0, 1.0, 0.0)]
+    for row in rows:
+        assert_cuts_every_sign_change(row)
+    assert_columns_match_rows(rows)
+
+
+def test_quartic_zeros_at_a_near_tangent_double_zero():
+    """p = first harmonic + (c2, s2), tuned so that p(t*) = v and
+    p'(t*) = 0: a double zero for v = 0, two zeros 2 d apart near t* for
+    v = -p''(t*) d**2 / 2."""
+    rng = np.random.default_rng(34)
+    rows = []
+    for t_star, (c2, s2) in zip(rng.uniform(0, 2 * math.pi, 30), rng.standard_normal((30, 2))):
+        h = c2 * math.cos(2 * t_star) + s2 * math.sin(2 * t_star)
+        dh = -2 * c2 * math.sin(2 * t_star) + 2 * s2 * math.cos(2 * t_star)
+        for d in (0.0, 1e-6, 1e-4, 1e-2):
+            # p'' at t* is -v - 3 h, about -3 h
+            v = 1.5 * h * d * d
+            c1 = (v - h) * math.cos(t_star) + dh * math.sin(t_star)
+            s1 = (v - h) * math.sin(t_star) - dh * math.cos(t_star)
+            row = (c1, s1, c2, s2)
+            rows.append(row)
+            if d:
+                pair = []
+                for lo, hi in ((t_star - 3 * d, t_star), (t_star, t_star + 3 * d)):
+                    for _ in range(80):
+                        mid = 0.5 * (lo + hi)
+                        lo, hi = (mid, hi) if np.sign(p_of(row, mid)) == np.sign(p_of(row, lo)) else (lo, mid)
+                    pair.append(0.5 * (lo + hi))
+                assert abs(p_of(row, pair[0])) < 1e-12 and abs(p_of(row, pair[1])) < 1e-12
+                assert_cuts_every_sign_change(row, zeros=pair)
+            assert_cuts_every_sign_change(row)
+    assert_columns_match_rows(rows)
 
 
 # ----------------------------------------------------------------------
