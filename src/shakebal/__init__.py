@@ -11,10 +11,6 @@ from .bench import ExperimentPlan, ResultRow, SummaryRow, run_plan, summarize
 from .mechanism import (
     DecisionVector,
     MechanismConfig,
-    force_x,
-    force_y,
-    moment_x,
-    moment_y,
     profile_arrays,
     theta_grid,
 )

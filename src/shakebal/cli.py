@@ -27,7 +27,7 @@ from .config import AppConfig, ConfigError, optimizer_params_map, parse_config
 from .mechanism import DecisionVector
 from .objective import calibrate_bounds
 from .optimizers import ALGORITHM_NAMES
-from .optimizers.common import require_seed
+from .optimizers.common import require_finite, require_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -123,6 +123,8 @@ def cmd_balance(args) -> int:
 
 def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
+    if args.write_config and os.path.exists(args.write_config):
+        raise CliError(f"refusing to overwrite existing output: {args.write_config}")
     with _flags(n_random="--samples", fraction="--fraction", seed="--seed"):
         c1_max, c2_max = calibrate_bounds(
             config.mechanism,
@@ -186,11 +188,11 @@ def _read_solutions(path: str) -> list[tuple[str, DecisionVector]]:
             if not rec or not "".join(rec).strip():
                 continue
             try:
-                out.append(
-                    (rec[0].strip(), DecisionVector(float(rec[1]), float(rec[2]), float(rec[3]), float(rec[4])))
-                )
+                dv = DecisionVector(float(rec[1]), float(rec[2]), float(rec[3]), float(rec[4]))
+                require_finite(dv)
             except (IndexError, ValueError) as exc:
                 raise CliError(f"{path}:{lineno}: bad solution row {rec} ({exc})") from None
+            out.append((rec[0].strip(), dv))
     return out
 
 

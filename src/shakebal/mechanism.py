@@ -232,27 +232,6 @@ def profile_arrays(cfg: MechanismConfig, dv: DecisionVector, theta):
     )
 
 
-def force_x(cfg: MechanismConfig, dv: DecisionVector, theta):
-    """Net x shaking force p1(theta); ``theta`` may be a scalar or an ndarray."""
-    return profile_arrays(cfg, dv, theta)[0]
-
-
-def force_y(cfg: MechanismConfig, dv: DecisionVector, theta):
-    """Net y shaking force p2(theta); no slider term, the sliders
-    reciprocate along x only."""
-    return profile_arrays(cfg, dv, theta)[1]
-
-
-def moment_x(cfg: MechanismConfig, dv: DecisionVector, theta):
-    """Net moment about x, p3(theta), taken about plane 1."""
-    return profile_arrays(cfg, dv, theta)[2]
-
-
-def moment_y(cfg: MechanismConfig, dv: DecisionVector, theta):
-    """Net moment about y, p4(theta), taken about plane 1."""
-    return profile_arrays(cfg, dv, theta)[3]
-
-
 def require_grid_size(n_samples: int) -> None:
     """Reject a theta grid too coarse to show a profile (< 8 points) or too
     large to allocate (> MAX_GRID_SAMPLES)."""

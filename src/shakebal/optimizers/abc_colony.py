@@ -22,7 +22,6 @@ from .common import (
     INIT_STREAM,
     SEARCH_STREAM,
     Bounds,
-    RunRecorder,
     RunResult,
     TrackedObjective,
     require_finite,
@@ -73,12 +72,10 @@ def optimize_abc(objective, bounds: Bounds, params: AbcParams, seed: int) -> Run
     rng = substream(seed, SEARCH_STREAM)
 
     tracked = TrackedObjective(objective)
-    recorder = RunRecorder(tracked)
-
     x = bounds.lerp(rng_init.random((sn, d)))
-    f = np.array([tracked(xi) for xi in x])
+    f = tracked.batch(x)
     trials = np.zeros(sn, dtype=int)
-    recorder.checkpoint_initial()
+    tracked.checkpoint()
 
     def neighbor_move(i: int) -> None:
         j = int(rng.integers(d))
@@ -112,6 +109,6 @@ def optimize_abc(objective, bounds: Bounds, params: AbcParams, seed: int) -> Run
                 f[i] = tracked(x[i])
                 trials[i] = 0
 
-        recorder.checkpoint_iteration()
+        tracked.checkpoint()
 
-    return recorder.finish("abc", seed)
+    return tracked.finish("abc", seed)

@@ -20,7 +20,6 @@ from .common import (
     INIT_STREAM,
     SEARCH_STREAM,
     Bounds,
-    RunRecorder,
     RunResult,
     TrackedObjective,
     require_finite,
@@ -166,20 +165,19 @@ def optimize_bga(
     rng = substream(seed, SEARCH_STREAM)
 
     tracked = TrackedObjective(objective)
-    recorder = RunRecorder(tracked)
 
     if init_points is None:
         bits = rng_init.random((pop, length)) < 0.5
     else:
         bits = encode_point(np.asarray(init_points, dtype=float), bounds, nb).reshape(pop, length)
     costs = tracked.batch(decode_bits(bits, bounds, nb))
-    recorder.checkpoint_initial()
+    tracked.checkpoint()
 
     for _ in range(params.iterations):
         elites = bits[np.argsort(costs, kind="stable")[: params.elitism]]
         children = breed(rng, bits, rank_probabilities(costs), pop - len(elites), params)
         bits = np.concatenate([elites, children])
         costs = tracked.batch(decode_bits(bits, bounds, nb))
-        recorder.checkpoint_iteration()
+        tracked.checkpoint()
 
-    return recorder.finish("bga", seed)
+    return tracked.finish("bga", seed)

@@ -4,8 +4,14 @@ Every optimizer takes an objective, a box, a params dataclass and a seed,
 and returns a :class:`RunResult`.  The objective is a callable
 x (d,) -> float.  It may also carry ``batch``, X (N, d) -> (N,) values
 equal to calling it on each row; PSO, BGA and HGAPSO then score each
-generation in one ``batch`` call, through :meth:`TrackedObjective.batch`;
-ABC's moves are sequential and it calls the objective one point at a time.
+generation, and ABC its first population, in one ``batch`` call through
+:meth:`TrackedObjective.batch`.  ABC's moves are sequential, one point at
+a time.
+
+A run's record lives in one :class:`TrackedObjective`: the evaluation
+count, the incumbent, the best-so-far and timing traces and the clock.
+An optimizer keeps only its update rule, calls ``checkpoint()`` after the
+initial population and after each iteration, and returns ``finish()``.
 
 Randomness comes from counter-based Philox streams derived per run and per
 phase, so a run is bit-for-bit reproducible from its seed and adding a new
@@ -123,16 +129,21 @@ class RunResult:
 
 
 class TrackedObjective:
-    """Wraps the raw objective: counts evaluations, keeps the incumbent,
-    rejects non-finite values with a diagnostic naming the offending point."""
+    """The record of one run around the raw objective: counts evaluations,
+    keeps the incumbent (first strict improvement, in call and row order),
+    rejects non-finite values with a diagnostic naming the offending point,
+    and collects the best-so-far and timing traces from its checkpoints."""
 
-    __slots__ = ("fn", "evaluations", "best_f", "best_x")
+    __slots__ = ("fn", "evaluations", "best_f", "best_x", "trace", "time_trace", "_t0")
 
     def __init__(self, fn):
         self.fn = fn
         self.evaluations = 0
         self.best_f = np.inf
         self.best_x = None
+        self.trace: list[float] = []
+        self.time_trace: list[float] = []
+        self._t0 = time.perf_counter()
 
     def __call__(self, x: np.ndarray) -> float:
         value = float(self.fn(x))
@@ -166,31 +177,22 @@ class TrackedObjective:
             raise NonFiniteObjectiveError(X[n_ok], float(values[n_ok]))
         return values
 
-
-class RunRecorder:
-    """Collects the best-so-far and timing traces during a run."""
-
-    def __init__(self, tracked: TrackedObjective):
-        self.tracked = tracked
-        self.trace: list[float] = []
-        self.time_trace: list[float] = []
-        self._t0 = time.perf_counter()
-
-    def checkpoint_initial(self) -> None:
-        self.trace.append(self.tracked.best_f)
-
-    def checkpoint_iteration(self) -> None:
-        self.trace.append(self.tracked.best_f)
-        self.time_trace.append(time.perf_counter() - self._t0)
+    def checkpoint(self) -> None:
+        """Append the incumbent's value to the trace.  Every checkpoint but
+        the first (taken after the initial population) ends an iteration
+        and also records the seconds since the run began."""
+        if self.trace:
+            self.time_trace.append(time.perf_counter() - self._t0)
+        self.trace.append(self.best_f)
 
     def finish(self, algorithm: str, seed: int) -> RunResult:
         return RunResult(
             algorithm=algorithm,
             seed=seed,
-            best_x=np.array(self.tracked.best_x, dtype=float),
-            best_f=self.tracked.best_f,
+            best_x=np.array(self.best_x, dtype=float),
+            best_f=self.best_f,
             trace=np.array(self.trace),
-            evaluations=self.tracked.evaluations,
+            evaluations=self.evaluations,
             wall_time=time.perf_counter() - self._t0,
             time_trace=np.array(self.time_trace),
         )

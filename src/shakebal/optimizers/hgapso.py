@@ -2,9 +2,9 @@
 
 Each generation the population is ranked by cost; the top
 ``ceil(phi * population)`` elites receive one particle-swarm update
-(inertia-weight rule with a persistent per-individual velocity and
-personal best, and the current population best standing in for the swarm
-best) and pass to the next generation directly.  The remaining slots are
+(PSO's own rule, ``pso.velocity``, with a persistent per-individual
+velocity and personal best, and the current population best standing in
+for the swarm best) and pass to the next generation directly.  The remaining slots are
 filled by GA offspring bred from the whole encoded population by BGA's
 own operator, ``bga.breed`` (rank roulette, multipoint crossover, per-bit
 mutation), and decoded.  Offspring start with zero velocity and
@@ -30,13 +30,12 @@ from .common import (
     INIT_STREAM,
     SEARCH_STREAM,
     Bounds,
-    RunRecorder,
     RunResult,
     TrackedObjective,
     require_finite,
     substream,
 )
-from .pso import PsoParams, inertia_weight
+from .pso import PsoParams, inertia_weight, velocity
 
 
 @dataclass(frozen=True)
@@ -78,14 +77,12 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
     rng = substream(seed, SEARCH_STREAM)
 
     tracked = TrackedObjective(objective)
-    recorder = RunRecorder(tracked)
-
     x = bounds.lerp(rng_init.random((pop, d)))
     v = (rng_init.random((pop, d)) * 2.0 - 1.0) * v_max
     f = tracked.batch(x)
     pbest_x = x.copy()
     pbest_f = f.copy()
-    recorder.checkpoint_initial()
+    tracked.checkpoint()
 
     for t in range(1, params.iterations + 1):
         w = inertia_weight(schedule, t)
@@ -96,10 +93,9 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
         # are the per-elite (U1, U2) pairs, drawn in the same order
         elite = order[:n_elite]
         u = rng.random((n_elite, 2, d))
-        v_elite = w * v[elite] + params.pso.c1 * u[:, 0] * (pbest_x[elite] - x[elite]) + (
-            params.pso.c2 * u[:, 1] * (swarm_best - x[elite])
+        v_elite = velocity(
+            params.pso, w, v[elite], x[elite], pbest_x[elite], swarm_best, u[:, 0], u[:, 1], v_max
         )
-        v_elite = np.clip(v_elite, -v_max, v_max)
 
         # offspring fill the remaining slots, bred from the encoded population
         genomes = encode_point(x, bounds, nb)
@@ -120,6 +116,6 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
         improved = f < pbest_f
         pbest_x[improved] = x[improved]
         pbest_f[improved] = f[improved]
-        recorder.checkpoint_iteration()
+        tracked.checkpoint()
 
-    return recorder.finish("hgapso", seed)
+    return tracked.finish("hgapso", seed)

@@ -6,7 +6,8 @@ Update rules, per particle i and iteration t:
     x(t+1) = x(t) + v(t+1)
 
 with U1, U2 fresh uniform(0,1) draws per particle *per dimension* each
-iteration, and the inertia weight annealed linearly:
+iteration, gbest the best point evaluated so far (the run's incumbent,
+``TrackedObjective.best_x``), and the inertia weight annealed linearly:
 
     w(Iter) = w_max - (w_max - w_min)/Iter_max * Iter
 
@@ -27,7 +28,6 @@ from .common import (
     INIT_STREAM,
     SEARCH_STREAM,
     Bounds,
-    RunRecorder,
     RunResult,
     TrackedObjective,
     require_finite,
@@ -64,6 +64,13 @@ def inertia_weight(params: PsoParams, iteration: int) -> float:
     return params.w_max - (params.w_max - params.w_min) / params.iterations * iteration
 
 
+def velocity(params: PsoParams, w: float, v, x, pbest_x, attractor, u1, u2, v_max) -> np.ndarray:
+    """The update rule's new velocity, clamped to +/- v_max:
+    w*v + c1*U1*(pbest_x - x) + c2*U2*(attractor - x)."""
+    v = w * v + params.c1 * u1 * (pbest_x - x) + params.c2 * u2 * (attractor - x)
+    return np.clip(v, -v_max, v_max)
+
+
 def optimize_pso(
     objective,
     bounds: Bounds,
@@ -95,32 +102,22 @@ def optimize_pso(
         v = np.array(init_velocities, dtype=float).reshape(pop, d)
 
     tracked = TrackedObjective(objective)
-    recorder = RunRecorder(tracked)
-
     f = tracked.batch(x)
     pbest_x = x.copy()
     pbest_f = f.copy()
-    g = int(np.argmin(pbest_f))
-    gbest_x = pbest_x[g].copy()
-    gbest_f = float(pbest_f[g])
-    recorder.checkpoint_initial()
+    tracked.checkpoint()
 
     for t in range(1, params.iterations + 1):
         w = inertia_weight(params, t)
         u1 = rng.random((pop, d))
         u2 = rng.random((pop, d))
-        v = w * v + params.c1 * u1 * (pbest_x - x) + params.c2 * u2 * (gbest_x - x)
-        v = np.clip(v, -v_max, v_max)
+        v = velocity(params, w, v, x, pbest_x, tracked.best_x, u1, u2, v_max)
         x = bounds.clip(x + v)
         f = tracked.batch(x)
 
         improved = f < pbest_f
         pbest_x[improved] = x[improved]
         pbest_f[improved] = f[improved]
-        g = int(np.argmin(pbest_f))
-        if pbest_f[g] < gbest_f:
-            gbest_f = float(pbest_f[g])
-            gbest_x = pbest_x[g].copy()
-        recorder.checkpoint_iteration()
+        tracked.checkpoint()
 
-    return recorder.finish("pso", seed)
+    return tracked.finish("pso", seed)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from shakebal.bench import parse_results, results_equal_modulo_time
-from shakebal.mechanism import DecisionVector, MechanismConfig, force_x, force_y, moment_x, moment_y
+from shakebal.mechanism import DecisionVector, MechanismConfig, profile_arrays
 from shakebal.objective import ObjectiveSpec, calibrate_bounds, default_search_bounds, evaluate, make_objective, polar_area
 from shakebal.optimizers import (
     AbcParams,
@@ -50,11 +50,11 @@ def test_criterion_1_equation_fidelity():
         cfg = MechanismConfig(**{k: params[k] for k in CFG_KEYS})
         dv = DecisionVector(**{k: params[k] for k in DV_KEYS})
         theta = rng.uniform(0.0, 2 * math.pi)
-        for fn, oracle in (
-            (force_x, oracle_p1), (force_y, oracle_p2), (moment_x, oracle_p3), (moment_y, oracle_p4),
+        for profile, oracle in zip(
+            profile_arrays(cfg, dv, theta), (oracle_p1, oracle_p2, oracle_p3, oracle_p4)
         ):
             want = oracle(params, theta)
-            rel = abs(float(fn(cfg, dv, theta)) - want) / (1.0 + abs(want))
+            rel = abs(float(profile) - want) / (1.0 + abs(want))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - t0
     passed = worst <= 1e-12 and elapsed < 1.0
@@ -239,9 +239,10 @@ def test_criterion_8_invariant_suite():
     s = 2.5
     fast = MechanismConfig(omega=s * cfg.omega)
     theta = np.linspace(0.0, 2 * math.pi, 64)
+    p_fast, p_slow = profile_arrays(fast, dv, theta), profile_arrays(cfg, dv, theta)
     checks["omega^2 forces"] = bool(
-        np.allclose(force_x(fast, dv, theta), s**2 * force_x(cfg, dv, theta), rtol=1e-12)
-        and np.allclose(force_y(fast, dv, theta), s**2 * force_y(cfg, dv, theta), rtol=1e-12)
+        np.allclose(p_fast[0], s**2 * p_slow[0], rtol=1e-12)
+        and np.allclose(p_fast[1], s**2 * p_slow[1], rtol=1e-12)
     )
     free = ObjectiveSpec(c1_max=1e30, c2_max=1e30)
     checks["omega^4 cost"] = (

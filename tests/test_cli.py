@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from shakebal import cli
 from shakebal.bench import parse_results
 from shakebal.cli import main
 
@@ -250,6 +251,37 @@ def test_profile_rejects_bad_solutions_file(fast_cfg, tmp_path, capsys):
     assert main(["profile", "--config", fast_cfg, "--solutions", str(bad),
                  "--out", str(tmp_path / "p")]) == 1
     assert "expected header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row, reason",
+    [("bad,nan,0,0,0", "m_1 must be finite (got nan)"), ("huge,inf,0,1,0", "m_1 must be finite (got inf)")],
+)
+def test_profile_rejects_a_non_finite_solution(fast_cfg, tmp_path, capsys, row, reason):
+    solutions = tmp_path / "solutions.csv"
+    solutions.write_text(f"name,m1,m2,phi1,phi2\nguess,0.2,0.0,3.14159,0.0\n{row}\n")
+    out = tmp_path / "p"
+    assert main(["profile", "--config", fast_cfg, "--solutions", str(solutions),
+                 "--out", str(out)]) == 1
+    rec = row.split(",")
+    assert capsys.readouterr().err == f"error: {solutions}:3: bad solution row {rec} ({reason})\n"
+    assert not out.exists()
+
+
+def test_calibrate_refuses_to_overwrite_its_config_copy(fast_cfg, tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("calibrate sampled before checking its output path")
+
+    monkeypatch.setattr(cli, "calibrate_bounds", no_sampling)
+    existing = tmp_path / "calibrated.cfg"
+    existing.write_bytes(b"objective.c1_max = 1.0\r\n# kept\n")
+    before = existing.read_bytes()
+    argv = ["calibrate", "--config", fast_cfg, "--samples", "200", "--write-config", str(existing)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: refusing to overwrite existing output: {existing}\n"
+    assert existing.read_bytes() == before
 
 
 def test_module_entry_point(tmp_path):

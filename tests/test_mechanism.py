@@ -10,10 +10,6 @@ from shakebal.mechanism import (
     MAX_GRID_SAMPLES,
     DecisionVector,
     MechanismConfig,
-    force_x,
-    force_y,
-    moment_x,
-    moment_y,
     profile_arrays,
     theta_grid,
     wrap_angle,
@@ -44,33 +40,31 @@ def split(params):
 def test_all_masses_zero_gives_zero_everywhere():
     cfg = massless_config()
     for theta in GRID:
-        assert force_x(cfg, ZERO, theta) == 0.0
-        assert force_y(cfg, ZERO, theta) == 0.0
-        assert moment_x(cfg, ZERO, theta) == 0.0
-        assert moment_y(cfg, ZERO, theta) == 0.0
+        for profile in profile_arrays(cfg, ZERO, theta):
+            assert profile == 0.0
 
 
 def test_force_x_unbalance_term_alone():
     cfg = massless_config(m_0=2.0, R_0=0.5, omega=10.0, alpha=0.0)
-    assert force_x(cfg, ZERO, 0.0) == pytest.approx(100.0, rel=1e-12)
+    assert profile_arrays(cfg, ZERO, 0.0)[0] == pytest.approx(100.0, rel=1e-12)
 
 
 def test_force_y_unbalance_term_alone():
     cfg = massless_config(m_0=2.0, R_0=0.5, omega=10.0, alpha=0.0)
-    assert force_y(cfg, ZERO, math.pi / 2) == pytest.approx(100.0, rel=1e-12)
+    assert profile_arrays(cfg, ZERO, math.pi / 2)[1] == pytest.approx(100.0, rel=1e-12)
 
 
 def test_force_x_opposed_cranks_cancel():
     # two identical cranks half a turn apart: cos(t) + cos(t + pi) == 0
     cfg = massless_config(m_c=1.0, R=1.0, L=2.0, omega=1.0, theta_0=math.pi)
-    assert np.max(np.abs(force_x(cfg, ZERO, GRID))) <= 1e-12
+    assert np.max(np.abs(profile_arrays(cfg, ZERO, GRID)[0])) <= 1e-12
 
 
 def test_moment_arms_of_disk3_counterweight():
     cfg = massless_config(r_2=1.0, omega=1.0, a_1=1.0, a_2=2.0)
     dv = DecisionVector(0.0, 1.0, 0.0, 0.0)
-    assert moment_y(cfg, dv, 0.0) == pytest.approx(3.0, rel=1e-12)
-    assert moment_x(cfg, dv, math.pi / 2) == pytest.approx(3.0, rel=1e-12)
+    assert profile_arrays(cfg, dv, 0.0)[3] == pytest.approx(3.0, rel=1e-12)
+    assert profile_arrays(cfg, dv, math.pi / 2)[2] == pytest.approx(3.0, rel=1e-12)
 
 
 def test_same_plane_cancellation_kills_all_profiles():
@@ -94,12 +88,12 @@ def test_linearity_in_each_mass():
         single = dict(params, **{key: params[key]})
         doubled = dict(params, **{key: 2 * params[key]})
         zeroed = dict(params, **{key: 0.0})
-        for fn in (force_x, force_y, moment_x, moment_y):
+        for k in range(4):
             cfg1, dv1 = split(single)
             cfg2, dv2 = split(doubled)
             cfg0, dv0 = split(zeroed)
-            part1 = fn(cfg1, dv1, theta) - fn(cfg0, dv0, theta)
-            part2 = fn(cfg2, dv2, theta) - fn(cfg0, dv0, theta)
+            part1 = profile_arrays(cfg1, dv1, theta)[k] - profile_arrays(cfg0, dv0, theta)[k]
+            part2 = profile_arrays(cfg2, dv2, theta)[k] - profile_arrays(cfg0, dv0, theta)[k]
             np.testing.assert_allclose(part2, 2.0 * part1, rtol=1e-12, atol=1e-12)
 
 
@@ -107,9 +101,10 @@ def test_periodicity():
     rng = np.random.default_rng(8)
     cfg, dv = split(random_params(rng))
     scale = cfg.omega**2
-    for fn in (force_x, force_y, moment_x, moment_y):
+    for k in range(4):
         np.testing.assert_allclose(
-            fn(cfg, dv, GRID + 2 * math.pi), fn(cfg, dv, GRID), rtol=0, atol=1e-10 * scale
+            profile_arrays(cfg, dv, GRID + 2 * math.pi)[k], profile_arrays(cfg, dv, GRID)[k],
+            rtol=0, atol=1e-10 * scale,
         )
 
 
@@ -119,22 +114,22 @@ def test_omega_scaling_is_quadratic():
     s = 3.7
     cfg, dv = split(params)
     cfg_fast, _ = split(dict(params, omega=s * params["omega"]))
-    for fn in (force_x, force_y, moment_x, moment_y):
+    for k in range(4):
         np.testing.assert_allclose(
-            fn(cfg_fast, dv, GRID), s**2 * fn(cfg, dv, GRID), rtol=1e-12
+            profile_arrays(cfg_fast, dv, GRID)[k], s**2 * profile_arrays(cfg, dv, GRID)[k], rtol=1e-12
         )
 
 
 def test_matches_term_by_term_oracle():
     rng = np.random.default_rng(123)
-    oracles = {force_x: oracle_p1, force_y: oracle_p2, moment_x: oracle_p3, moment_y: oracle_p4}
+    oracles = (oracle_p1, oracle_p2, oracle_p3, oracle_p4)
     for _ in range(200):
         params = random_params(rng)
         cfg, dv = split(params)
         theta = rng.uniform(0.0, 2 * math.pi)
-        for fn, oracle in oracles.items():
+        for profile, oracle in zip(profile_arrays(cfg, dv, theta), oracles):
             want = oracle(params, theta)
-            got = float(fn(cfg, dv, theta))
+            got = float(profile)
             assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
@@ -142,10 +137,10 @@ def test_profile_arrays_matches_individual_ops():
     rng = np.random.default_rng(10)
     cfg, dv = split(random_params(rng))
     p1, p2, p3, p4 = profile_arrays(cfg, dv, GRID)
-    np.testing.assert_array_equal(p1, force_x(cfg, dv, GRID))
-    np.testing.assert_array_equal(p2, force_y(cfg, dv, GRID))
-    np.testing.assert_array_equal(p3, moment_x(cfg, dv, GRID))
-    np.testing.assert_array_equal(p4, moment_y(cfg, dv, GRID))
+    np.testing.assert_array_equal(p1, profile_arrays(cfg, dv, GRID)[0])
+    np.testing.assert_array_equal(p2, profile_arrays(cfg, dv, GRID)[1])
+    np.testing.assert_array_equal(p3, profile_arrays(cfg, dv, GRID)[2])
+    np.testing.assert_array_equal(p4, profile_arrays(cfg, dv, GRID)[3])
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +176,7 @@ def test_sample_profile_wraps_periodically():
     theta = theta_grid(16)
     p1 = profile_arrays(cfg, dv, theta)[0]
     for t, want in zip(theta, p1):
-        assert force_x(cfg, dv, t + 2 * math.pi) == pytest.approx(want, rel=1e-9, abs=1e-9)
+        assert profile_arrays(cfg, dv, t + 2 * math.pi)[0] == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 # ----------------------------------------------------------------------
