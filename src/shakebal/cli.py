@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -27,7 +28,7 @@ from .config import AppConfig, ConfigError, optimizer_params_map, parse_config
 from .mechanism import DecisionVector
 from .objective import calibrate_bounds
 from .optimizers import ALGORITHM_NAMES
-from .optimizers.common import require_finite, require_seed
+from .optimizers.common import require_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,8 +189,12 @@ def _read_solutions(path: str) -> list[tuple[str, DecisionVector]]:
             if not rec or not "".join(rec).strip():
                 continue
             try:
-                dv = DecisionVector(float(rec[1]), float(rec[2]), float(rec[3]), float(rec[4]))
-                require_finite(dv)
+                values = [float(rec[1]), float(rec[2]), float(rec[3]), float(rec[4])]
+                # checked as written: DecisionVector wraps an infinite angle to nan
+                for f, value in zip(dataclasses.fields(DecisionVector), values):
+                    if not math.isfinite(value):
+                        raise ValueError(f"{f.name} must be finite (got {value})")
+                dv = DecisionVector(*values)
             except (IndexError, ValueError) as exc:
                 raise CliError(f"{path}:{lineno}: bad solution row {rec} ({exc})") from None
             out.append((rec[0].strip(), dv))

@@ -7,7 +7,9 @@ the lower bound, all-one bits to the upper bound); a chromosome is the
 concatenation over dimensions.  Selection is roulette on linear rank
 weights (raw-fitness roulette is ill-posed for minimization), the best
 ``elitism`` individuals are copied unchanged, and the whole population is
-decoded and evaluated every generation.
+decoded and evaluated every generation.  ``breed`` draws per pair, in this
+order: the parents, the crossover test, the cuts, both mutation masks.  A
+seed's results rest on that order; the children are then built at once.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ class BgaParams:
             )
         if self.elitism < 0:
             raise ValueError(f"elitism must be >= 0 (got {self.elitism})")
+        if self.elitism >= self.population:
+            raise ValueError(f"elitism must be < population (got {self.elitism} >= {self.population})")
 
 
 def decode_bits(bits: np.ndarray, bounds: Bounds, bits_per_variable: int) -> np.ndarray:
@@ -90,24 +94,6 @@ def rank_probabilities(costs: np.ndarray) -> np.ndarray:
     return weights / weights.sum()
 
 
-def multipoint_crossover(
-    parent_a: np.ndarray, parent_b: np.ndarray, cut_points: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Swap alternate segments between two chromosomes at the given cuts."""
-    child_a = parent_a.copy()
-    child_b = parent_b.copy()
-    length = parent_a.size
-    swap = False
-    prev = 0
-    for cut in list(np.sort(cut_points)) + [length]:
-        if swap:
-            child_a[prev:cut] = parent_b[prev:cut]
-            child_b[prev:cut] = parent_a[prev:cut]
-        swap = not swap
-        prev = cut
-    return child_a, child_b
-
-
 def chromosome_length(params: BgaParams, dimension: int) -> int:
     """Bits per chromosome over ``dimension`` variables; rejects more
     crossover points than the chromosome has cut positions."""
@@ -127,23 +113,35 @@ def breed(
     per pair, a roulette draw of two parents on ``probs``, multipoint
     crossover with probability crossover_prob, and per-bit mutation of
     both children (rate 1/L unless set); the second child of the last pair
-    is dropped when only one slot is left."""
-    n, length = parents.shape
+    is dropped when only one slot is left.
+
+    Each pair draws, in this order: the two parent uniforms and the
+    crossover test (``rng.random(3)``), the cut positions if it crosses
+    over, then both mutation masks (``rng.random(2 * L)``), also for the
+    dropped child.  This order fixes every run's results for a seed."""
+    length = parents.shape[1]
     p_mut = params.mutation_prob_per_bit
     if p_mut is None:
         p_mut = 1.0 / length
+    pairs = (count + 1) // 2
     cut_positions = np.arange(1, length)
-    children = []
-    while len(children) < count:
-        ia, ib = rng.choice(n, size=2, p=probs)
-        child_a, child_b = parents[ia].copy(), parents[ib].copy()
-        if rng.random() < params.crossover_prob:
-            cuts = rng.choice(cut_positions, size=params.crossover_points, replace=False)
-            child_a, child_b = multipoint_crossover(parents[ia], parents[ib], cuts)
-        child_a ^= rng.random(length) < p_mut
-        child_b ^= rng.random(length) < p_mut
-        children += [child_a, child_b][: count - len(children)]
-    return np.array(children, dtype=bool).reshape(count, length)
+    uniforms = np.empty((pairs, 3))
+    cuts = np.full((pairs, params.crossover_points), length)  # a cut at L swaps no bit
+    flips = np.empty((pairs, 2, length))
+    for i in range(pairs):
+        rng.random(out=uniforms[i])
+        if uniforms[i, 2] < params.crossover_prob:
+            cuts[i] = rng.choice(cut_positions, size=params.crossover_points, replace=False)
+        rng.random(out=flips[i])
+    # Generator.choice(n, size=2, p=probs) maps its uniforms exactly so,
+    # minus its per-call validation of p
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    a, b = parents[cdf.searchsorted(uniforms[:, :2], side="right")].transpose(1, 0, 2)
+    # a bit lies in a swapped segment after an odd number of cuts at or before it
+    swap = (np.arange(length) >= cuts[:, :, None]).sum(axis=1) % 2 == 1
+    children = np.stack([np.where(swap, b, a), np.where(swap, a, b)], axis=1) ^ (flips < p_mut)
+    return children.reshape(2 * pairs, length)[:count]
 
 
 def optimize_bga(

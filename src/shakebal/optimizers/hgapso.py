@@ -7,8 +7,8 @@ velocity and personal best, and the current population best standing in
 for the swarm best) and pass to the next generation directly.  The remaining slots are
 filled by GA offspring bred from the whole encoded population by BGA's
 own operator, ``bga.breed`` (rank roulette, multipoint crossover, per-bit
-mutation), and decoded.  Offspring start with zero velocity and
-themselves as personal best.
+mutation, drawn per pair in its documented order), and decoded.
+Offspring start with zero velocity and themselves as personal best.
 
 With phi = 1 every individual is an elite and the dynamics degenerate to
 plain PSO; the random-draw order still differs from ``optimize_pso`` (the

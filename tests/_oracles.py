@@ -3,6 +3,7 @@
 Everything here is written directly from the printed force/moment sums and
 shares no code with the package: scalar math for the term-by-term profile
 checks, and a high-resolution trapezoid integration for the cost check.
+``breed_oracle`` is the GA's breeding operator as a plain per-pair loop.
 
 The scalar oracles are accurate to ~1e-13 relative, well inside the 1e-12
 that the profile checks ask of the package: each angle sum theta + phi is
@@ -176,3 +177,42 @@ def polar_area_oracle(radii: np.ndarray) -> float:
     """The pinned quadrature formula restated for file round-trip checks."""
     radii = np.asarray(radii, dtype=float)
     return 0.5 * (2 * pi / radii.size) * float(np.sum(radii**2))
+
+
+def multipoint_crossover(
+    parent_a: np.ndarray, parent_b: np.ndarray, cut_points: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Swap alternate segments between two chromosomes at the given cuts."""
+    child_a = parent_a.copy()
+    child_b = parent_b.copy()
+    length = parent_a.size
+    swap = False
+    prev = 0
+    for cut in list(np.sort(cut_points)) + [length]:
+        if swap:
+            child_a[prev:cut] = parent_b[prev:cut]
+            child_b[prev:cut] = parent_a[prev:cut]
+        swap = not swap
+        prev = cut
+    return child_a, child_b
+
+
+def breed_oracle(rng: np.random.Generator, parents: np.ndarray, probs: np.ndarray, count: int, params) -> np.ndarray:
+    """``bga.breed`` one pair at a time, with ``Generator.choice`` drawing
+    the parents: the reference for its draw order and its children."""
+    n, length = parents.shape
+    p_mut = params.mutation_prob_per_bit
+    if p_mut is None:
+        p_mut = 1.0 / length
+    cut_positions = np.arange(1, length)
+    children = []
+    while len(children) < count:
+        ia, ib = rng.choice(n, size=2, p=probs)
+        child_a, child_b = parents[ia].copy(), parents[ib].copy()
+        if rng.random() < params.crossover_prob:
+            cuts = rng.choice(cut_positions, size=params.crossover_points, replace=False)
+            child_a, child_b = multipoint_crossover(parents[ia], parents[ib], cuts)
+        child_a ^= rng.random(length) < p_mut
+        child_b ^= rng.random(length) < p_mut
+        children += [child_a, child_b][: count - len(children)]
+    return np.array(children, dtype=bool).reshape(count, length)

@@ -255,7 +255,11 @@ def test_profile_rejects_bad_solutions_file(fast_cfg, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "row, reason",
-    [("bad,nan,0,0,0", "m_1 must be finite (got nan)"), ("huge,inf,0,1,0", "m_1 must be finite (got inf)")],
+    [
+        ("bad,nan,0,0,0", "m_1 must be finite (got nan)"),
+        ("huge,inf,0,1,0", "m_1 must be finite (got inf)"),
+        ("huge,0,0,inf,0", "phi_1 must be finite (got inf)"),
+    ],
 )
 def test_profile_rejects_a_non_finite_solution(fast_cfg, tmp_path, capsys, row, reason):
     solutions = tmp_path / "solutions.csv"

@@ -177,6 +177,13 @@ def test_too_many_crossover_points_name_the_key(tmp_path):
     assert load(tmp_path, "bga.crossover_points = 63\n").hgapso.bga.crossover_points == 63
 
 
+def test_elitism_of_the_whole_population_names_the_key(tmp_path):
+    message = r":2: bga\.elitism: elitism must be < population \(got 50 >= 50\)"
+    with pytest.raises(ConfigError, match=message):
+        load(tmp_path, "bga.crossover_points = 3\nbga.elitism = 50\n")
+    assert load(tmp_path, "bga.elitism = 49\n").bga.elitism == 49
+
+
 def test_negative_base_seed_names_the_key(tmp_path):
     message = r":2: bench\.base_seed: base_seed must be >= 0 \(got -1\)"
     with pytest.raises(ConfigError, match=message):

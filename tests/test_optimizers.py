@@ -23,8 +23,11 @@ from shakebal.optimizers import (
     optimize_pso,
     selection_probabilities,
 )
+from shakebal.optimizers.bga import breed, rank_probabilities
 from shakebal.optimizers.common import TrackedObjective
 from shakebal.testfns import hypercube_bounds, rastrigin, sphere
+
+from _oracles import breed_oracle
 
 BOX = hypercube_bounds(4)
 
@@ -119,6 +122,53 @@ def test_identical_population_without_mutation_is_frozen():
     assert np.all(result.trace == result.trace[0])
     step = BOX.width / (2**params.bits_per_variable - 1)
     assert np.all(np.abs(result.best_x - point) <= step / 2 + 1e-12)
+
+
+@pytest.mark.parametrize("mutation_prob_per_bit", [None, 0.0, 1.0])
+@pytest.mark.parametrize("crossover_prob", [0.0, 1.0, 0.9])
+def test_breed_matches_the_per_pair_oracle(crossover_prob, mutation_prob_per_bit):
+    # the oracle draws its parents with Generator.choice(p=...), so this
+    # also checks that breed's own cdf lookup maps the same uniforms to
+    # the same parents under the installed numpy
+    meta = np.random.default_rng(9)
+    seed = 0
+    for n, length in [(2, 8), (3, 9), (7, 33), (50, 64)]:
+        parents = meta.random((n, length)) < 0.5
+        probs = rank_probabilities(meta.random(n))
+        for points in sorted({1, 2, length // 2, length - 1}):
+            params = BgaParams(
+                crossover_points=points,
+                crossover_prob=crossover_prob,
+                mutation_prob_per_bit=mutation_prob_per_bit,
+            )
+            for count in (0, 1, 2, 5, 49):
+                seed += 1
+                rng, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+                children = breed(rng, parents, probs, count, params)
+                assert children.dtype == bool and children.shape == (count, length)
+                assert np.array_equal(children, breed_oracle(rng_oracle, parents, probs, count, params))
+                assert np.array_equal(rng.random(4), rng_oracle.random(4))
+
+
+@pytest.mark.parametrize(
+    "name, seed, best_f, evaluations",
+    [
+        ("bga", 1, "0x1.8663d327e0e94p+10", 1550),
+        ("bga", 2, "0x1.5cfef296dca0ap+10", 1550),
+        ("hgapso", 1, "0x1.58ac7b305fdfbp+10", 1550),
+        ("hgapso", 2, "0x1.586de1aa89f5cp+10", 1550),
+    ],
+)
+def test_short_breeding_runs_are_pinned(name, seed, best_f, evaluations):
+    # bit-exact under numpy's Generator as of 2.4; a numpy whose draws
+    # differ moves these values, and so would any change of draw order
+    optimize, params = {
+        "bga": (optimize_bga, BgaParams(iterations=30)),
+        "hgapso": (optimize_hgapso, HgapsoParams(iterations=30)),
+    }[name]
+    spec = ObjectiveSpec()
+    result = optimize(make_objective(MechanismConfig(), spec), spec.bounds, params, seed)
+    assert (result.best_f.hex(), result.evaluations) == (best_f, evaluations)
 
 
 def test_elite_count_rounding():
@@ -289,6 +339,10 @@ def test_param_validation():
         BgaParams(population=7)
     with pytest.raises(ValueError, match="bits_per_variable"):
         BgaParams(bits_per_variable=4)
+    with pytest.raises(ValueError, match=r"elitism must be < population \(got 10 >= 4\)"):
+        BgaParams(population=4, iterations=20, elitism=10)
+    with pytest.raises(ValueError, match=r"elitism must be < population \(got 4 >= 4\)"):
+        BgaParams(population=4, elitism=4)
     with pytest.raises(ValueError, match="breeding_ratio"):
         HgapsoParams(breeding_ratio=0.0)
     with pytest.raises(ValueError, match="breeding_ratio"):
