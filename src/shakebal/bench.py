@@ -86,6 +86,11 @@ class BenchSettings:
             raise ValueError("algorithms must be non-empty")
         if not self.iteration_budgets or any(b < 1 for b in self.iteration_budgets):
             raise ValueError(f"iteration_budgets must be non-empty positive (got {self.iteration_budgets})")
+        # a repeated entry would run each of its runs again
+        for name in ("algorithms", "iteration_budgets"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must not repeat (got {list(values)})")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1 (got {self.repeats})")
         require_seed(self.base_seed, "base_seed")

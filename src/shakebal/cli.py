@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench as bench_mod
-from .config import AppConfig, ConfigError, optimizer_params_map, parse_config
+from .config import AppConfig, ConfigError, named_key, optimizer_params_map, parse_config
 from .mechanism import DecisionVector
 from .objective import calibrate_bounds
 from .optimizers import ALGORITHM_NAMES
@@ -42,16 +42,15 @@ class CliError(Exception):
 @contextmanager
 def _flags(**flags: str):
     """Report a library ValueError on a flag's value as a usage error;
-    ``flags`` maps each library parameter to its flag, and the first one
-    the message names is blamed."""
+    ``flags`` maps each library parameter to its flag, and the parameter
+    is picked by ``named_key``, as a config file's key is."""
     try:
         yield
     except ValueError as exc:
-        words = str(exc).split()
-        flag = next((f for name, f in flags.items() if name in words), None)
-        if flag is None:
+        name = named_key(str(exc), flags)
+        if name is None:
             raise
-        raise CliError(f"{flag}: {exc}") from None
+        raise CliError(f"{flags[name]}: {exc}") from None
 
 
 def _load_config(path: str | None) -> AppConfig:

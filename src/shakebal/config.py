@@ -5,8 +5,13 @@ comment, blank lines ignored.  Numbers may use decimal or scientific
 notation; angle-valued keys additionally accept a ``rad`` or ``deg``
 suffix (``mechanism.alpha = 180deg``) and are stored in radians.  Unknown
 keys are rejected; missing keys take the documented defaults; every
-dataclass invariant is re-validated on load, and errors name the file,
-line and key.
+dataclass invariant is re-validated on load.
+
+An error names the file and one rule picks its key (``named_key``): the
+first word of the check's message that is a key this file sets in the
+section.  The error cites that key's line, ``path:line: section.key:
+message``, or reads ``path: section: message`` when the message names no
+such key.
 """
 
 from __future__ import annotations
@@ -83,8 +88,13 @@ def _parse_list(convert):
 
 _PARSERS = {
     "float": float, "angle": _parse_angle, "int": _parse_int,
-    "names": _parse_list(str), "ints": _parse_list(int),
+    "names": _parse_list(str), "ints": _parse_list(_parse_int),
 }
+
+
+def named_key(message: str, keys) -> str | None:
+    """The first word of ``message`` that is one of ``keys``, or None."""
+    return next((word for word in message.split() if word in keys), None)
 
 
 def _read_assignments(path) -> dict[tuple[str, str], tuple[object, int]]:
@@ -117,70 +127,52 @@ def _read_assignments(path) -> dict[tuple[str, str], tuple[object, int]]:
     return assignments
 
 
-def _build_section(path, section: str, fields: dict, lines: dict, factory, other_keys=()):
-    """Construct one dataclass, converting invariant errors to ConfigError
-    that cite the offending key's line; ``other_keys`` are keys of the
-    section the factory reads besides ``fields``."""
-    try:
-        return factory(**fields)
-    except ValueError as exc:
-        message = str(exc)
-        blame = next((k for k in [*fields, *other_keys] if k in message.split()), None)
-        if blame is None and fields:
-            blame = next(iter(fields))
-        if blame is not None and (section, blame) in lines:
-            raise ConfigError(
-                f"{path}:{lines[(section, blame)]}: {section}.{blame}: {message}"
-            ) from None
-        raise ConfigError(f"{path}: {section}: {message}") from None
-
-
 def parse_config(path) -> AppConfig:
     """Load an AppConfig: documented defaults overridden by the file."""
     assignments = _read_assignments(path)
-    lines = {key: lineno for key, (_, lineno) in assignments.items()}
 
-    def section_fields(section: str) -> dict:
-        return {
-            key: value
-            for (sec, key), (value, _) in assignments.items()
-            if sec == section
-        }
+    def build(section: str, factory):
+        """Construct one section from the keys the file sets in it."""
+        fields = {key: value for (sec, key), (value, _) in assignments.items() if sec == section}
+        try:
+            return factory(**fields)
+        except ValueError as exc:
+            key = named_key(str(exc), fields)
+            if key is None:
+                raise ConfigError(f"{path}: {section}: {exc}") from None
+            lineno = assignments[(section, key)][1]
+            raise ConfigError(f"{path}:{lineno}: {section}.{key}: {exc}") from None
 
-    mechanism = _build_section(path, "mechanism", section_fields("mechanism"), lines, MechanismConfig)
+    mechanism = build("mechanism", MechanismConfig)
 
-    obj_fields = section_fields("objective")
-    bound_overrides = {k: obj_fields.pop(k) for pair in _BOUND_KEYS for k in pair if k in obj_fields}
-    base = default_search_bounds(mechanism)
-    lower = [bound_overrides.get(lo, v) for (lo, _), v in zip(_BOUND_KEYS, base.lower)]
-    upper = [bound_overrides.get(hi, v) for (_, hi), v in zip(_BOUND_KEYS, base.upper)]
-    try:
-        bounds = Bounds(lower, upper)
-    except ValueError as exc:
-        # only the file's own bounds can be at fault; a non-finite one first
-        key = min(bound_overrides, key=lambda k: math.isfinite(bound_overrides[k]))
-        raise ConfigError(
-            f"{path}:{lines[('objective', key)]}: objective.{key}: bad search bounds: {exc}"
-        ) from None
-    objective = _build_section(
-        path, "objective", obj_fields, lines, lambda **kw: ObjectiveSpec(bounds=bounds, **kw),
-        other_keys=bound_overrides,
-    )
+    def objective_spec(**kw) -> ObjectiveSpec:
+        """The section with its search box, checked per dimension so that
+        an error names the box key at fault."""
+        base = default_search_bounds(mechanism)
+        lower, upper = [], []
+        for (lo, hi), low, high in zip(_BOUND_KEYS, base.lower, base.upper):
+            low, high = kw.pop(lo, float(low)), kw.pop(hi, float(high))
+            for key, value in ((lo, low), (hi, high)):
+                if not math.isfinite(value):
+                    raise ValueError(f"{key} must be finite (got {value})")
+            if low > high:
+                raise ValueError(f"{lo} must be <= {hi} (got {low} > {high})")
+            lower.append(low)
+            upper.append(high)
+        return ObjectiveSpec(bounds=Bounds(lower, upper), **kw)
 
-    pso = _build_section(path, "pso", section_fields("pso"), lines, PsoParams)
-    abc = _build_section(path, "abc", section_fields("abc"), lines, AbcParams)
+    objective = build("objective", objective_spec)
+    pso = build("pso", PsoParams)
+    abc = build("abc", AbcParams)
 
     def bga_params(**kw) -> BgaParams:
         params = BgaParams(**kw)
         chromosome_length(params, objective.bounds.dimension)
         return params
 
-    bga = _build_section(path, "bga", section_fields("bga"), lines, bga_params)
-    hg_fields = section_fields("hgapso")
-    hgapso = _build_section(
-        path, "hgapso", hg_fields, lines, lambda **kw: HgapsoParams(pso=pso, bga=bga, **kw)
-    )
-    bench = _build_section(path, "bench", section_fields("bench"), lines, BenchSettings)
+    bga = build("bga", bga_params)
+    hgapso = build("hgapso", lambda **kw: HgapsoParams(pso=pso, bga=bga, **kw))
+    bench = build("bench", BenchSettings)
 
     return AppConfig(mechanism, objective, pso, abc, bga, hgapso, bench)
 

@@ -27,7 +27,7 @@ from .optimizers.common import require_finite
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
-# largest theta grid: 8 MiB per float array
+# largest theta grid, and most calibrate_bounds samples: 8 MiB per float array
 MAX_GRID_SAMPLES = 2**20
 
 
@@ -89,7 +89,7 @@ class MechanismConfig:
             raise ValueError(f"omega must be > 0 (got {self.omega})")
         # the slider second harmonic (R/L)cos(2*theta) is a small-ratio term
         if self.R / self.L > 1.0:
-            raise ValueError(f"R/L must be <= 1 (got {self.R / self.L})")
+            raise ValueError(f"R must be <= L (got R/L = {self.R / self.L})")
         object.__setattr__(self, "alpha", wrap_angle(self.alpha))
         object.__setattr__(self, "theta_0", wrap_angle(self.theta_0))
         # a coefficient is finite if its row's area is

@@ -37,7 +37,8 @@ from functools import partial
 import numpy as np
 
 from .mechanism import (
-    HALF_PI, TWO_PI, DecisionVector, MechanismConfig, half_square_integral, require_grid_size,
+    HALF_PI, MAX_GRID_SAMPLES, TWO_PI, DecisionVector, MechanismConfig, half_square_integral,
+    require_grid_size,
 )
 from .optimizers.common import Bounds, require_finite, substream
 
@@ -508,11 +509,14 @@ def calibrate_bounds(
     Samples ``n_random`` decision vectors uniformly in ``spec_bounds`` and
     returns (fraction * max C1, fraction * max C2).  A few thousand samples
     make the maxima stable across seeds; n_random >= 100 is a sensible
-    floor.  Deterministic per seed (own Philox stream).  The areas are
-    the ones ``evaluate`` reports, bit for bit.
+    floor, and more than MAX_GRID_SAMPLES is rejected before the draw.
+    Deterministic per seed (own Philox stream).  The areas are the ones
+    ``evaluate`` reports, bit for bit.
     """
     if n_random < 1:
         raise ValueError(f"n_random must be >= 1 (got {n_random})")
+    if n_random > MAX_GRID_SAMPLES:
+        raise ValueError(f"n_random must be <= {MAX_GRID_SAMPLES} (got {n_random})")
     if not (0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must be in (0, 1] (got {fraction})")
     ObjectiveSpec(bounds=spec_bounds)  # its checks of the box: 4-d, masses >= 0

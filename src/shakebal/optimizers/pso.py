@@ -53,8 +53,9 @@ class PsoParams:
             raise ValueError(f"iterations must be >= 1 (got {self.iterations})")
         if not (self.w_max >= self.w_min >= 0):
             raise ValueError(f"need w_max >= w_min >= 0 (got {self.w_max}, {self.w_min})")
-        if self.c1 < 0 or self.c2 < 0:
-            raise ValueError("acceleration constants must be >= 0")
+        for name in ("c1", "c2"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")
         if self.v_max_fraction <= 0:
             raise ValueError(f"v_max_fraction must be > 0 (got {self.v_max_fraction})")
 

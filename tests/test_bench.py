@@ -353,6 +353,11 @@ def test_plan_validation():
         ExperimentPlan(repeats=0)
     with pytest.raises(ValueError, match="budgets"):
         ExperimentPlan(iteration_budgets=())
+    # a repeated entry would run each of its runs again under the same seeds
+    with pytest.raises(ValueError, match=re.escape("algorithms must not repeat (got ['pso', 'pso'])")):
+        ExperimentPlan(algorithms=("pso", "pso"), iteration_budgets=(3, 3), repeats=2)
+    with pytest.raises(ValueError, match=re.escape("iteration_budgets must not repeat (got [3, 5, 3])")):
+        tiny_plan(iteration_budgets=(3, 5, 3.0))
 
 
 @pytest.mark.parametrize(

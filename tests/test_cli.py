@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from shakebal import cli
+from shakebal import cli, objective
 from shakebal.bench import parse_results
 from shakebal.cli import main
 
@@ -183,6 +183,17 @@ def test_oversized_grid_exits_1_before_any_allocation(fast_cfg, tmp_path, capsys
     assert not (tmp_path / "p" / "polar.csv").exists()
 
 
+def test_oversized_calibration_exits_1_before_the_draw(fast_cfg, capsys, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("calibrate drew its samples before their count was checked")
+
+    monkeypatch.setattr(objective, "substream", no_draw)
+    assert main(["calibrate", "--config", fast_cfg, "--samples", "1000000000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --samples: n_random must be <= 1048576 (got 1000000000)\n"
+
+
 def test_balance_failure_gives_the_reason(fast_cfg, tmp_path, capsys):
     doomed = tmp_path / "doomed.cfg"
     doomed.write_text(FAST_CFG + "objective.penalty_weight = 1e308\nobjective.c1_max = 1e-12\n")
@@ -193,7 +204,10 @@ def test_balance_failure_gives_the_reason(fast_cfg, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("key, value", [("bga.crossover_points", "70"), ("bench.base_seed", "-1")])
+@pytest.mark.parametrize(
+    "key, value",
+    [("bga.crossover_points", "70"), ("bench.base_seed", "-1"), ("bench.algorithms", "pso, pso")],
+)
 def test_bench_rejects_a_value_no_run_could_use(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.cfg"
     bad.write_text(FAST_CFG + f"{key} = {value}\n")

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from shakebal.config import _BOUND_KEYS, _KEYS, AppConfig, BenchSettings, ConfigError, parse_config
+from shakebal.config import (
+    _BOUND_KEYS, _KEYS, AppConfig, BenchSettings, ConfigError, named_key, parse_config,
+)
 from shakebal.mechanism import MechanismConfig
 from shakebal.objective import DEFAULT_C1_MAX
 
@@ -90,6 +92,13 @@ def test_bench_lists(tmp_path):
     assert cfg.bench.repeats == 3
 
 
+def test_integer_lists_take_scientific_notation(tmp_path):
+    cfg = load(tmp_path, "bench.iteration_budgets = 2e2, 3e2\n")
+    assert cfg.bench.iteration_budgets == (200, 300)
+    with pytest.raises(ConfigError, match=r"malformed value .*expected an integer, got '12\.5'"):
+        load(tmp_path, "bench.iteration_budgets = 2e2, 12.5\n")
+
+
 def test_bench_rejects_unknown_algorithm(tmp_path):
     with pytest.raises(ConfigError, match="unknown names"):
         load(tmp_path, "bench.algorithms = pso, nope\n")
@@ -104,7 +113,7 @@ def test_search_box_follows_the_unbalance_mass(tmp_path):
 
 
 def test_bad_bounds_are_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="bounds"):
+    with pytest.raises(ConfigError, match=r":1: objective\.m1_min: m1_min must be <= m1_max"):
         load(tmp_path, "objective.m1_min = 5\nobjective.m1_max = 1\n")
 
 
@@ -129,7 +138,10 @@ def test_non_finite_values_are_rejected(tmp_path, key, value):
         load(tmp_path, f"{key} = {value}\n")
 
 
-@pytest.mark.parametrize("key", ["pso.population", "abc.limit", "bench.repeats", "bench.base_seed"])
+@pytest.mark.parametrize(
+    "key",
+    ["pso.population", "abc.limit", "bench.repeats", "bench.base_seed", "bench.iteration_budgets"],
+)
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_integers_are_rejected(tmp_path, key, value):
     with pytest.raises(ConfigError, match="expected an integer"):
@@ -195,6 +207,41 @@ def test_oversized_grid_names_the_key(tmp_path):
     message = r":2: objective\.n_samples: n_samples must be <= 1048576 \(got 1000000000\)"
     with pytest.raises(ConfigError, match=message):
         load(tmp_path, "objective.c1_max = 1e5\nobjective.n_samples = 1e9\n")
+
+
+def test_named_key_is_the_first_word_the_message_names():
+    message = "elitism must be < population (got 4 >= 4)"
+    assert named_key(message, {"population": 4, "elitism": 4}) == "elitism"
+    assert named_key(message, {"population": 4}) == "population"
+    assert named_key(message, {"iterations": 4}) is None
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("objective.m1_max = 10\nobjective.m2_min = 3\nobjective.m2_max = 1\n",
+         ":2: objective.m2_min: m2_min must be <= m2_max (got 3.0 > 1.0)"),
+        ("objective.m1_max = -1\n", ":1: objective.m1_max: m1_min must be <= m1_max (got 0.0 > -1.0)"),
+        ("objective.c1_max = 1e5\nobjective.m1_max = nan\n",
+         ":2: objective.m1_max: m1_max must be finite (got nan)"),
+        ("mechanism.m_c = 0.5\nmechanism.R = 0.5\nmechanism.L = 0.1\n",
+         ":2: mechanism.R: R must be <= L (got R/L = 5.0)"),
+        ("pso.population = 10\npso.c1 = -1\n", ":2: pso.c1: c1 must be >= 0 (got -1.0)"),
+        ("pso.c1 = 1\npso.c2 = -0.5\n", ":2: pso.c2: c2 must be >= 0 (got -0.5)"),
+        ("bga.population = 4\nbga.elitism = 4\n",
+         ":2: bga.elitism: elitism must be < population (got 4 >= 4)"),
+        ("bench.repeats = 2\nbench.algorithms = pso, pso\n",
+         ":2: bench.algorithms: algorithms must not repeat (got ['pso', 'pso'])"),
+        ("bench.repeats = 2\nbench.iteration_budgets = 2e2, 200\n",
+         ":2: bench.iteration_budgets: iteration_budgets must not repeat (got [200, 200])"),
+    ],
+    ids=["box", "default-box", "nan-box", "R", "c1", "c2", "elitism", "algorithms", "budgets"],
+)
+def test_error_cites_the_first_key_its_message_names(tmp_path, text, error):
+    path = tmp_path / "test.cfg"
+    with pytest.raises(ConfigError) as err:
+        load(tmp_path, text)
+    assert str(err.value) == f"{path}{error}"
 
 
 def _written(value) -> str:
