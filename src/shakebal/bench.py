@@ -11,7 +11,8 @@ column list is named once, in its ``*_HEADER`` constant:
     results.csv      RESULTS_HEADER, the ResultRow fields written per run
     summary.csv      SUMMARY_HEADER, the SummaryRow fields in order
     convergence.csv  CONVERGENCE_HEADER, best cost so far per iteration
-    runtime.csv      RUNTIME_HEADER, cumulative seconds per iteration
+    runtime.csv      RUNTIME_HEADER, seconds attributed to the run by the
+                     end of each iteration (``RunResult.time_trace``)
     polar.csv        theta_rad, then one r_<name> column per profile
 
 Failed runs stay in the results table as rows with status "failed" (empty
@@ -35,14 +36,16 @@ from .objective import ObjectiveSpec, evaluate, make_objective
 from .optimizers import (
     ALGORITHM_NAMES,
     OPTIMIZERS,
+    STEPS,
     AbcParams,
     BgaParams,
     HgapsoParams,
     PsoParams,
     RunResult,
+    lockstep,
 )
 from .optimizers.bga import chromosome_length
-from .optimizers.common import require_finite, require_seed
+from .optimizers.common import require_finite, require_integers, require_seed
 
 RESULTS_HEADER = [
     "algorithm", "budget", "experiment", "seed", "m1", "m2", "phi1", "phi2",
@@ -74,8 +77,8 @@ class BenchSettings:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         self.algorithms = tuple(self.algorithms)
-        self.iteration_budgets = tuple(int(b) for b in self.iteration_budgets)
         unknown = [a for a in self.algorithms if a not in OPTIMIZERS]
         if unknown:
             raise ValueError(
@@ -150,47 +153,63 @@ class SummaryRow:
     worst: float
 
 
-def _failed(task, exc: Exception) -> ResultRow:
-    return ResultRow(*task[:4], status="failed", error=f"{type(exc).__name__}: {exc}")
-
-
-def _execute_run(task) -> ResultRow:
-    """Run one (algorithm, budget, experiment) cell; exceptions become a
-    failed row so the plan keeps going."""
-    algorithm, budget, experiment, seed, cfg, spec, params = task
+def _row(task, experiment: int, seed: int, outcome) -> ResultRow:
+    """The row of one run of a cell, from its RunResult or from the
+    exception that ended it ("Type: message" in a failed row)."""
+    algorithm, budget, _, cfg, spec, _ = task
     try:
-        objective = make_objective(cfg, spec)
-        params = dataclasses.replace(params, iterations=budget)
-        result = OPTIMIZERS[algorithm](objective, spec.bounds, params, seed)
-        dv = DecisionVector.from_array(result.best_x)
+        if isinstance(outcome, Exception):
+            raise outcome
+        dv = DecisionVector.from_array(outcome.best_x)
         cost = evaluate(cfg, dv, spec)
     except Exception as exc:
-        return _failed(task, exc)
+        return ResultRow(
+            algorithm, budget, experiment, seed, status="failed", error=f"{type(exc).__name__}: {exc}"
+        )
     return ResultRow(
         algorithm, budget, experiment, seed, dv.m_1, dv.m_2, dv.phi_1, dv.phi_2,
-        cost.raw_cost, cost.c1, cost.c2, cost.total, result.wall_time, result=result,
+        cost.raw_cost, cost.c1, cost.c2, cost.total, outcome.wall_time, result=outcome,
     )
 
 
-def _collect(future, task) -> ResultRow:
-    """The row of a submitted run; a worker that died (BrokenProcessPool)
+def _execute_cell(task) -> list[ResultRow]:
+    """Run the seeds of one (algorithm, budget) cell in lockstep, one row
+    per seed; an exception fails the rows of the runs it ended, so the
+    plan keeps going."""
+    algorithm, budget, runs, cfg, spec, params = task
+    try:
+        objective = make_objective(cfg, spec)
+        params = dataclasses.replace(params, iterations=budget)
+        steps = STEPS[algorithm]
+        outcomes = lockstep(
+            objective,
+            [lambda tracked, seed=seed: steps(tracked, spec.bounds, params, seed) for _, seed in runs],
+        )
+    except Exception as exc:
+        outcomes = [exc] * len(runs)
+    return [_row(task, *run, outcome) for run, outcome in zip(runs, outcomes)]
+
+
+def _collect(future, task) -> list[ResultRow]:
+    """The rows of a submitted cell; a worker that died (BrokenProcessPool)
     fails the runs it took with it."""
     try:
         return future.result()
     except Exception as exc:
-        return _failed(task, exc)
+        return [_row(task, *run, exc) for run in task[2]]
 
 
 def _run_alone(tasks, jobs: int) -> list[ResultRow]:
-    """Rows of ``tasks``, each run on a fresh pool of its own, ``jobs``
+    """Rows of ``tasks``, each seed run on a fresh pool of its own, ``jobs``
     pools at a time: a worker that dies fails only its own run."""
+    singles = [(*task[:2], (run,), *task[3:]) for task in tasks for run in task[2]]
     rows = []
-    for start in range(0, len(tasks), jobs):
-        wave = tasks[start:start + jobs]
+    for start in range(0, len(singles), jobs):
+        wave = singles[start:start + jobs]
         with ExitStack() as stack:
             pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in wave]
-            futures = [pool.submit(_execute_run, t) for pool, t in zip(pools, wave)]
-            rows += [_collect(f, t) for f, t in zip(futures, wave)]
+            futures = [pool.submit(_execute_cell, t) for pool, t in zip(pools, wave)]
+            rows += [row for f, t in zip(futures, wave) for row in _collect(f, t)]
     return rows
 
 
@@ -200,35 +219,43 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     Repeat r (1-based experiment number) always runs with seed
     base_seed + r - 1, for every algorithm and budget, mirroring the
     "same initial conditions per experiment column" reading of the
-    protocol.  Rows come back in deterministic (algorithm, budget,
-    experiment) order regardless of ``jobs``.  A worker process that
-    crashes breaks the pool and every run still pending on it; each of
-    those runs once more on a fresh pool of its own, and one that crashes
-    again stays failed, with the reason.
+    protocol.  The repeats of one (algorithm, budget) cell run as one
+    task, in lockstep (``optimizers.lockstep``), with the results each
+    would have alone.  When the plan has fewer cells than ``jobs``, each
+    cell is split into ceil(jobs / cells) chunks of seeds, so that every
+    worker gets a task.  Rows come back in
+    deterministic (algorithm, budget, experiment) order regardless of
+    ``jobs``.  A worker process that crashes breaks the pool and every
+    task still pending on it; each run of those tasks runs once more on a
+    fresh pool of its own, and one that crashes again stays failed, with
+    the reason.
     """
+    cells = [(a, b) for a in plan.algorithms for b in plan.iteration_budgets]
+    runs = [(r + 1, plan.base_seed + r) for r in range(plan.repeats)]
+    chunks = min(plan.repeats, (jobs + len(cells) - 1) // len(cells))
+    cuts = [len(runs) * c // chunks for c in range(chunks + 1)]
     tasks = [
         (
             algorithm,
             budget,
-            r + 1,
-            plan.base_seed + r,
+            tuple(runs[lo:hi]),
             plan.mechanism,
             plan.objective,
             plan.optimizer_params[algorithm],
         )
-        for algorithm in plan.algorithms
-        for budget in plan.iteration_budgets
-        for r in range(plan.repeats)
+        for algorithm, budget in cells
+        for lo, hi in zip(cuts, cuts[1:])
     ]
     if jobs <= 1 or len(tasks) == 1:
-        return [_execute_run(t) for t in tasks]
+        return [row for t in tasks for row in _execute_cell(t)]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_execute_run, t) for t in tasks]
+        futures = [pool.submit(_execute_cell, t) for t in tasks]
         rows = [_collect(f, t) for f, t in zip(futures, tasks)]
     lost = [i for i, f in enumerate(futures) if isinstance(f.exception(), BrokenProcessPool)]
-    for i, row in zip(lost, _run_alone([tasks[i] for i in lost], jobs)):
-        rows[i] = row
-    return rows
+    rerun = iter(_run_alone([tasks[i] for i in lost], jobs))
+    for i in lost:
+        rows[i] = [next(rerun) for _ in tasks[i][2]]
+    return [row for cell in rows for row in cell]
 
 
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
@@ -318,8 +345,8 @@ def emit_convergence(rows: list[ResultRow], path) -> None:
 
 
 def emit_runtime_growth(rows: list[ResultRow], path) -> None:
-    """Cumulative wall-clock checkpoints: one row per completed iteration
-    (iteration column is 1-based).  Raises if any run carries no timing
+    """Cumulative seconds attributed to each run: one row per completed
+    iteration (iteration column is 1-based).  Raises if any run carries no timing
     checkpoints rather than fabricating zeros."""
     for row in rows:
         if row.result is not None and row.result.time_trace.size == 0:

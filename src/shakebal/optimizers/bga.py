@@ -25,6 +25,8 @@ from .common import (
     RunResult,
     TrackedObjective,
     require_finite,
+    require_integers,
+    single_run,
     substream,
 )
 
@@ -41,6 +43,7 @@ class BgaParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         if self.population < 2 or self.population % 2 != 0:
             raise ValueError(f"population must be even and >= 2 (got {self.population})")
         if self.iterations < 1:
@@ -144,14 +147,17 @@ def breed(
     return children.reshape(2 * pairs, length)[:count]
 
 
-def optimize_bga(
-    objective,
+def bga_steps(
+    tracked: TrackedObjective,
     bounds: Bounds,
     params: BgaParams,
     seed: int,
     init_points: np.ndarray | None = None,
-) -> RunResult:
-    """Minimize ``objective`` over ``bounds`` with the binary GA.
+):
+    """Minimize the objective over ``bounds`` with the binary GA: a
+    generator that yields each decoded generation to score and returns the
+    RunResult (``common.lockstep``).  ``optimize_bga(objective, bounds,
+    params, seed)`` runs it alone.
 
     ``init_points`` (population, d) seeds the first generation through the
     encoder instead of random bits (testing hook).
@@ -162,20 +168,32 @@ def optimize_bga(
     rng_init = substream(seed, INIT_STREAM)
     rng = substream(seed, SEARCH_STREAM)
 
-    tracked = TrackedObjective(objective)
-
     if init_points is None:
         bits = rng_init.random((pop, length)) < 0.5
     else:
         bits = encode_point(np.asarray(init_points, dtype=float), bounds, nb).reshape(pop, length)
-    costs = tracked.batch(decode_bits(bits, bounds, nb))
+    points = decode_bits(bits, bounds, nb)
+    costs = tracked.record(points, (yield points))
     tracked.checkpoint()
 
     for _ in range(params.iterations):
         elites = bits[np.argsort(costs, kind="stable")[: params.elitism]]
         children = breed(rng, bits, rank_probabilities(costs), pop - len(elites), params)
         bits = np.concatenate([elites, children])
-        costs = tracked.batch(decode_bits(bits, bounds, nb))
+        points = decode_bits(bits, bounds, nb)
+        costs = tracked.record(points, (yield points))
         tracked.checkpoint()
 
     return tracked.finish("bga", seed)
+
+
+def optimize_bga(
+    objective,
+    bounds: Bounds,
+    params: BgaParams,
+    seed: int,
+    init_points: np.ndarray | None = None,
+) -> RunResult:
+    """Minimize ``objective`` over ``bounds`` with the binary GA: one run
+    of :func:`bga_steps`."""
+    return single_run(bga_steps, objective, bounds, params, seed, init_points)

@@ -1,27 +1,32 @@
 """Shared pieces of the four derivative-free minimizers.
 
-Every optimizer takes an objective, a box, a params dataclass and a seed,
-and returns a :class:`RunResult`.  The objective is a callable
-x (d,) -> float.  It may also carry ``batch``, X (N, d) -> (N,) values
-equal to calling it on each row; PSO, BGA and HGAPSO then score each
-generation, and ABC its first population, in one ``batch`` call through
-:meth:`TrackedObjective.batch`.  ABC's moves are sequential, one point at
-a time.
+Every optimizer is an ask/tell generator: it yields each population
+(N, d) it wants scored, is sent the raw values, and records them in the
+run's :class:`TrackedObjective`.  :func:`lockstep` drives any number of
+such runs on one objective, scoring what all live runs ask for in one
+call per round; ``optimize_*(objective, bounds, params, seed)`` is the
+one-run case (:func:`single_run`).  The objective is a callable x (d,) ->
+float.  It may also carry ``batch``, X (N, d) -> (N,) values equal to
+calling it on each row, which then scores each round; without it, each
+row is one call.
 
 A run's record lives in one :class:`TrackedObjective`: the evaluation
-count, the incumbent, the best-so-far and timing traces and the clock.
-An optimizer keeps only its update rule, calls ``checkpoint()`` after the
-initial population and after each iteration, and returns ``finish()``.
+count, the incumbent, the best-so-far and timing traces and the seconds
+charged to the run.  An optimizer keeps only its update rule, calls
+``checkpoint()`` after the initial population and after each iteration,
+and returns ``finish()``.
 
 Randomness comes from counter-based Philox streams derived per run and per
-phase, so a run is bit-for-bit reproducible from its seed and adding a new
-random-consuming phase cannot perturb the existing draw sequence.
+phase, so a run is bit-for-bit reproducible from its seed, alone or in
+lockstep with others, and adding a new random-consuming phase cannot
+perturb the existing draw sequence.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -51,6 +56,22 @@ def require_finite(obj) -> None:
         value = getattr(obj, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite (got {value})")
+
+
+def require_integers(obj) -> None:
+    """Reject a non-integer in the fields of a dataclass annotated ``int``
+    or ``tuple[int, ...]``, the integer kinds the config schema reads, and
+    store an integral value such as 3.0 as the int it equals."""
+    for f in dataclasses.fields(obj):
+        if f.type in ("int", "tuple[int, ...]"):
+            value = getattr(obj, f.name)
+            items = (value,) if f.type == "int" else tuple(value)
+            integral = (isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer() for v in items)
+            if not all(integral):
+                kind = "an integer" if f.type == "int" else "integers"
+                raise ValueError(f"{f.name} must be {kind} (got {value!r})")
+            ints = tuple(map(int, items))
+            object.__setattr__(obj, f.name, ints[0] if f.type == "int" else ints)
 
 
 class NonFiniteObjectiveError(RuntimeError):
@@ -114,8 +135,9 @@ class RunResult:
     trace       best-so-far objective value: entry 0 after the initial
                 population evaluation, then one entry per iteration
                 (length = iterations + 1, non-increasing)
-    time_trace  cumulative wall seconds at the end of each iteration
-                (length = iterations)
+    wall_time   seconds attributed to the run (see :func:`lockstep`)
+    time_trace  seconds attributed to the run by the end of each iteration
+                (length = iterations, non-decreasing)
     """
 
     algorithm: str
@@ -128,13 +150,24 @@ class RunResult:
     time_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
+def score(fn, X: np.ndarray) -> np.ndarray:
+    """The values of ``fn`` on the rows of X (N, d): its own ``batch`` when
+    it has one, else one call per row."""
+    fn_batch = getattr(fn, "batch", None)
+    if fn_batch is None:
+        return np.array([float(fn(x)) for x in X])
+    return np.asarray(fn_batch(X), dtype=float)
+
+
 class TrackedObjective:
     """The record of one run around the raw objective: counts evaluations,
-    keeps the incumbent (first strict improvement, in call and row order),
-    rejects non-finite values with a diagnostic naming the offending point,
-    and collects the best-so-far and timing traces from its checkpoints."""
+    keeps the incumbent (first strict improvement, in the order values are
+    recorded), rejects non-finite values with a diagnostic naming the
+    offending point, and collects the best-so-far and timing traces from
+    its checkpoints.  ``seconds`` is the time charged to the run before its
+    current step, which began at ``step_start``."""
 
-    __slots__ = ("fn", "evaluations", "best_f", "best_x", "trace", "time_trace", "_t0")
+    __slots__ = ("fn", "evaluations", "best_f", "best_x", "trace", "time_trace", "seconds", "step_start")
 
     def __init__(self, fn):
         self.fn = fn
@@ -143,11 +176,15 @@ class TrackedObjective:
         self.best_x = None
         self.trace: list[float] = []
         self.time_trace: list[float] = []
-        self._t0 = time.perf_counter()
+        self.seconds = 0.0
+        self.step_start = time.perf_counter()
 
     def __call__(self, x: np.ndarray) -> float:
-        value = float(self.fn(x))
-        if not np.isfinite(value):
+        return self.tell(x, float(self.fn(x)))
+
+    def tell(self, x: np.ndarray, value: float) -> float:
+        """Record the value of the point x."""
+        if not math.isfinite(value):
             raise NonFiniteObjectiveError(x, value)
         self.evaluations += 1
         if value < self.best_f:
@@ -155,16 +192,10 @@ class TrackedObjective:
             self.best_x = np.array(x, dtype=float)
         return value
 
-    def batch(self, X: np.ndarray) -> np.ndarray:
-        """Values of the rows of X (N, d), taken in row order: the counts,
-        the incumbent (first strict improvement) and the non-finite error
-        are those of calling this object on each row in turn.  Uses the
-        objective's own ``batch`` when it has one."""
-        X = np.asarray(X, dtype=float)
-        fn_batch = getattr(self.fn, "batch", None)
-        if fn_batch is None:
-            return np.array([self(x) for x in X])
-        values = np.asarray(fn_batch(X), dtype=float)
+    def record(self, X: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Record the values of the rows of X (N, d), taken in row order:
+        the counts, the incumbent and the non-finite error are those of
+        ``tell`` on each row in turn."""
         finite = np.isfinite(values)
         n_ok = values.size if finite.all() else int(np.argmin(finite))
         self.evaluations += n_ok
@@ -177,12 +208,15 @@ class TrackedObjective:
             raise NonFiniteObjectiveError(X[n_ok], float(values[n_ok]))
         return values
 
+    def elapsed(self) -> float:
+        return self.seconds + (time.perf_counter() - self.step_start)
+
     def checkpoint(self) -> None:
         """Append the incumbent's value to the trace.  Every checkpoint but
         the first (taken after the initial population) ends an iteration
-        and also records the seconds since the run began."""
+        and also records the seconds charged to the run so far."""
         if self.trace:
-            self.time_trace.append(time.perf_counter() - self._t0)
+            self.time_trace.append(self.elapsed())
         self.trace.append(self.best_f)
 
     def finish(self, algorithm: str, seed: int) -> RunResult:
@@ -193,6 +227,75 @@ class TrackedObjective:
             best_f=self.best_f,
             trace=np.array(self.trace),
             evaluations=self.evaluations,
-            wall_time=time.perf_counter() - self._t0,
+            wall_time=self.elapsed(),
             time_trace=np.array(self.time_trace),
         )
+
+
+def _score_round(fn, asks: dict) -> dict:
+    """Each run's values for the population it asked for, from one call
+    over all of them; if that call raises, each run's rows are scored on
+    their own, and a run whose rows raise gets the exception."""
+    if len(asks) > 1:
+        try:
+            values = score(fn, np.concatenate(list(asks.values())))
+            return dict(zip(asks, np.split(values, np.cumsum([len(X) for X in asks.values()])[:-1])))
+        except Exception:
+            pass
+    replies = {}
+    for i, X in asks.items():
+        try:
+            replies[i] = score(fn, X)
+        except Exception as exc:
+            replies[i] = exc
+    return replies
+
+
+def lockstep(objective, runs: list) -> list:
+    """Run seeded optimizer runs side by side on one objective.
+
+    Each entry of ``runs`` takes the run's :class:`TrackedObjective` and
+    returns its generator.  A generator yields each population (N, d) it
+    wants scored, is sent the raw values, records them in its
+    TrackedObjective, and returns its RunResult.  Each round scores what
+    every live run asked for in one call (``score``).  Returns, per run,
+    its RunResult or the exception that ended it; one run's failure ends
+    only that run, and the others go on bit for bit as they would alone.
+
+    Time is charged per run: the wall time of its own generator steps plus
+    a share of each round's scoring, in proportion to its rows.  So the
+    runs' wall times add up to the driver's.
+    """
+    tracks = [TrackedObjective(objective) for _ in runs]
+    generators = [run(tracked) for run, tracked in zip(runs, tracks)]
+    outcomes: list = [None] * len(runs)
+    replies: dict = dict.fromkeys(range(len(runs)))
+    while True:
+        asks = {}
+        for i, reply in replies.items():
+            tracks[i].step_start = time.perf_counter()
+            try:
+                if isinstance(reply, Exception):
+                    raise reply
+                asks[i] = generators[i].send(reply)
+            except StopIteration as stop:
+                outcomes[i] = stop.value
+            except Exception as exc:
+                outcomes[i] = exc
+            tracks[i].seconds = tracks[i].elapsed()
+        if not asks:
+            return outcomes
+        start = time.perf_counter()
+        replies = _score_round(objective, asks)
+        per_row = (time.perf_counter() - start) / sum(len(X) for X in asks.values())
+        for i, X in asks.items():
+            tracks[i].seconds += per_row * len(X)
+
+
+def single_run(steps, objective, bounds: Bounds, params, seed: int, *hooks) -> RunResult:
+    """Run the optimizer generator ``steps`` alone on :func:`lockstep`:
+    its RunResult, or the exception that ended it, raised."""
+    (outcome,) = lockstep(objective, [lambda tracked: steps(tracked, bounds, params, seed, *hooks)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

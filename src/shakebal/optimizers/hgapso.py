@@ -33,6 +33,8 @@ from .common import (
     RunResult,
     TrackedObjective,
     require_finite,
+    require_integers,
+    single_run,
     substream,
 )
 from .pso import PsoParams, inertia_weight, velocity
@@ -50,6 +52,7 @@ class HgapsoParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         if self.population < 2:
             raise ValueError(f"population must be >= 2 (got {self.population})")
         if self.iterations < 1:
@@ -63,8 +66,11 @@ def elite_count(breeding_ratio: float, population: int) -> int:
     return min(population, math.ceil(breeding_ratio * population))
 
 
-def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) -> RunResult:
-    """Minimize ``objective`` over ``bounds`` with the GA/PSO hybrid."""
+def hgapso_steps(tracked: TrackedObjective, bounds: Bounds, params: HgapsoParams, seed: int):
+    """Minimize the objective over ``bounds`` with the GA/PSO hybrid: a
+    generator that yields each generation to score and returns the
+    RunResult (``common.lockstep``).  ``optimize_hgapso(objective, bounds,
+    params, seed)`` runs it alone."""
     pop, d = params.population, bounds.dimension
     nb = params.bga.bits_per_variable
     chromosome_length(params.bga, d)
@@ -76,10 +82,9 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
     rng_init = substream(seed, INIT_STREAM)
     rng = substream(seed, SEARCH_STREAM)
 
-    tracked = TrackedObjective(objective)
     x = bounds.lerp(rng_init.random((pop, d)))
     v = (rng_init.random((pop, d)) * 2.0 - 1.0) * v_max
-    f = tracked.batch(x)
+    f = tracked.record(x, (yield x))
     pbest_x = x.copy()
     pbest_f = f.copy()
     tracked.checkpoint()
@@ -112,10 +117,16 @@ def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) 
         new_x[n_elite:] = new_pbest_x[n_elite:] = decode_bits(children, bounds, nb)
 
         x, v, pbest_x, pbest_f = new_x, new_v, new_pbest_x, new_pbest_f
-        f = tracked.batch(x)
+        f = tracked.record(x, (yield x))
         improved = f < pbest_f
         pbest_x[improved] = x[improved]
         pbest_f[improved] = f[improved]
         tracked.checkpoint()
 
     return tracked.finish("hgapso", seed)
+
+
+def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) -> RunResult:
+    """Minimize ``objective`` over ``bounds`` with the GA/PSO hybrid: one
+    run of :func:`hgapso_steps`."""
+    return single_run(hgapso_steps, objective, bounds, params, seed)

@@ -31,6 +31,8 @@ from .common import (
     RunResult,
     TrackedObjective,
     require_finite,
+    require_integers,
+    single_run,
     substream,
 )
 
@@ -47,6 +49,7 @@ class PsoParams:
 
     def __post_init__(self) -> None:
         require_finite(self)
+        require_integers(self)
         if self.population < 1:
             raise ValueError(f"population must be >= 1 (got {self.population})")
         if self.iterations < 1:
@@ -72,15 +75,18 @@ def velocity(params: PsoParams, w: float, v, x, pbest_x, attractor, u1, u2, v_ma
     return np.clip(v, -v_max, v_max)
 
 
-def optimize_pso(
-    objective,
+def pso_steps(
+    tracked: TrackedObjective,
     bounds: Bounds,
     params: PsoParams,
     seed: int,
     init_positions: np.ndarray | None = None,
     init_velocities: np.ndarray | None = None,
-) -> RunResult:
-    """Minimize ``objective`` over ``bounds`` with a particle swarm.
+):
+    """Minimize the objective over ``bounds`` with a particle swarm: a
+    generator that yields each swarm to score and returns the RunResult
+    (``common.lockstep``).  ``optimize_pso(objective, bounds, params,
+    seed)`` runs it alone.
 
     Positions and velocities are initialized uniformly at random (positions
     in the box, velocities in the +/- v_max clamp range) unless explicit
@@ -102,8 +108,7 @@ def optimize_pso(
     else:
         v = np.array(init_velocities, dtype=float).reshape(pop, d)
 
-    tracked = TrackedObjective(objective)
-    f = tracked.batch(x)
+    f = tracked.record(x, (yield x))
     pbest_x = x.copy()
     pbest_f = f.copy()
     tracked.checkpoint()
@@ -114,7 +119,7 @@ def optimize_pso(
         u2 = rng.random((pop, d))
         v = velocity(params, w, v, x, pbest_x, tracked.best_x, u1, u2, v_max)
         x = bounds.clip(x + v)
-        f = tracked.batch(x)
+        f = tracked.record(x, (yield x))
 
         improved = f < pbest_f
         pbest_x[improved] = x[improved]
@@ -122,3 +127,16 @@ def optimize_pso(
         tracked.checkpoint()
 
     return tracked.finish("pso", seed)
+
+
+def optimize_pso(
+    objective,
+    bounds: Bounds,
+    params: PsoParams,
+    seed: int,
+    init_positions: np.ndarray | None = None,
+    init_velocities: np.ndarray | None = None,
+) -> RunResult:
+    """Minimize ``objective`` over ``bounds`` with a particle swarm: one
+    run of :func:`pso_steps`."""
+    return single_run(pso_steps, objective, bounds, params, seed, init_positions, init_velocities)

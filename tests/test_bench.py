@@ -32,7 +32,7 @@ from shakebal.bench import (
 )
 from shakebal.mechanism import DecisionVector, MechanismConfig
 from shakebal.objective import ObjectiveSpec, default_search_bounds
-from shakebal.optimizers import OPTIMIZERS, AbcParams, BgaParams, HgapsoParams, PsoParams, RunResult
+from shakebal.optimizers import STEPS, AbcParams, BgaParams, HgapsoParams, PsoParams, RunResult
 
 from _oracles import polar_area_oracle
 
@@ -89,6 +89,18 @@ def test_parallel_execution_matches_serial(tmp_path):
     assert results_equal_modulo_time(tmp_path / "serial.csv", tmp_path / "parallel.csv")
 
 
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_a_cell_split_across_workers_matches_serial(tmp_path, jobs):
+    # one cell, fewer than jobs: its seeds are split into chunks of 1 + 2
+    # (jobs=2) or 1 + 1 + 1 (jobs=3), each run in lockstep in a worker
+    plan = tiny_plan(algorithms=("abc",), repeats=3)
+    rows = run_plan(plan, jobs=jobs)
+    assert [(r.experiment, r.seed, r.status) for r in rows] == [(k, k, "ok") for k in (1, 2, 3)]
+    write_results(run_plan(plan), tmp_path / "serial.csv")
+    write_results(rows, tmp_path / "parallel.csv")
+    assert results_equal_modulo_time(tmp_path / "serial.csv", tmp_path / "parallel.csv")
+
+
 def test_failed_runs_stay_in_the_table():
     plan = tiny_plan(
         algorithms=("pso",),
@@ -116,7 +128,7 @@ def test_worker_crash_fails_its_rows_and_the_plan_goes_on(tmp_path, monkeypatch)
     def crash(*args):
         os._exit(3)
 
-    monkeypatch.setitem(OPTIMIZERS, "pso", crash)
+    monkeypatch.setitem(STEPS, "pso", crash)
     rows = run_plan(tiny_plan(algorithms=("pso",), repeats=3), jobs=2)
     assert [(r.algorithm, r.experiment, r.seed) for r in rows] == [("pso", k, k) for k in (1, 2, 3)]
     assert [r.status for r in rows] == ["failed"] * 3
@@ -132,14 +144,14 @@ def test_worker_crash_fails_its_rows_and_the_plan_goes_on(tmp_path, monkeypatch)
 def test_worker_crash_fails_only_its_own_run(tmp_path, monkeypatch):
     plan = tiny_plan(algorithms=("pso",), repeats=3)
     serial = run_plan(plan, jobs=1)
-    pso = OPTIMIZERS["pso"]
+    pso = STEPS["pso"]
 
-    def crash_on_seed_1(objective, bounds, params, seed):
+    def crash_on_seed_1(tracked, bounds, params, seed):
         if seed == 1:
             os._exit(3)
-        return pso(objective, bounds, params, seed)
+        return pso(tracked, bounds, params, seed)
 
-    monkeypatch.setitem(OPTIMIZERS, "pso", crash_on_seed_1)
+    monkeypatch.setitem(STEPS, "pso", crash_on_seed_1)
     rows = run_plan(plan, jobs=2)
     assert [(r.experiment, r.status) for r in rows] == [(1, "failed"), (2, "ok"), (3, "ok")]
     assert rows[0].error.startswith("BrokenProcessPool: ")

@@ -1,12 +1,17 @@
 """Update-rule arithmetic, run-level invariants and sphere sanity checks
 for the four minimizers."""
 
+import re
+import time
+
 import numpy as np
 import pytest
 
+from shakebal.bench import BenchSettings
 from shakebal.mechanism import MechanismConfig
 from shakebal.objective import ObjectiveSpec, make_objective
 from shakebal.optimizers import (
+    STEPS,
     AbcParams,
     BgaParams,
     HgapsoParams,
@@ -17,14 +22,17 @@ from shakebal.optimizers import (
     encode_point,
     fitness_from_cost,
     inertia_weight,
+    lockstep,
     optimize_abc,
     optimize_bga,
     optimize_hgapso,
     optimize_pso,
     selection_probabilities,
+    substream,
 )
+from shakebal.optimizers.abc_colony import move_draws
 from shakebal.optimizers.bga import breed, rank_probabilities
-from shakebal.optimizers.common import TrackedObjective
+from shakebal.optimizers.common import TrackedObjective, score
 from shakebal.testfns import hypercube_bounds, rastrigin, sphere
 
 from _oracles import breed_oracle
@@ -153,6 +161,10 @@ def test_breed_matches_the_per_pair_oracle(crossover_prob, mutation_prob_per_bit
 @pytest.mark.parametrize(
     "name, seed, best_f, evaluations",
     [
+        ("pso", 1, "0x1.686ba883b5c6ap+10", 1550),
+        ("pso", 2, "0x1.611f5f0f0310ap+10", 1550),
+        ("abc", 1, "0x1.62a1a08f56c94p+10", 1526),
+        ("abc", 2, "0x1.7d4f2915daf96p+10", 1527),
         ("bga", 1, "0x1.8663d327e0e94p+10", 1550),
         ("bga", 2, "0x1.5cfef296dca0ap+10", 1550),
         ("hgapso", 1, "0x1.58ac7b305fdfbp+10", 1550),
@@ -161,8 +173,11 @@ def test_breed_matches_the_per_pair_oracle(crossover_prob, mutation_prob_per_bit
 )
 def test_short_breeding_runs_are_pinned(name, seed, best_f, evaluations):
     # bit-exact under numpy's Generator as of 2.4; a numpy whose draws
-    # differ moves these values, and so would any change of draw order
+    # differ moves these values, and so would any change of draw order or
+    # of the order in which a run records its values
     optimize, params = {
+        "pso": (optimize_pso, PsoParams(iterations=30)),
+        "abc": (optimize_abc, AbcParams(iterations=30)),
         "bga": (optimize_bga, BgaParams(iterations=30)),
         "hgapso": (optimize_hgapso, HgapsoParams(iterations=30)),
     }[name]
@@ -284,13 +299,14 @@ def tracked_state(tracked: TrackedObjective):
 
 def test_tracked_batch_matches_the_row_loop():
     rng = np.random.default_rng(6)
-    batched = TrackedObjective(CountedBatches(sphere))
-    looped = TrackedObjective(lambda x: sphere(x))
+    batched = TrackedObjective(sphere)
+    looped = TrackedObjective(sphere)
+    counted = CountedBatches(sphere)
     for _ in range(5):
         X = np.round(rng.uniform(-2.0, 2.0, (9, 4)))  # rounded: ties in value
-        assert np.array_equal(batched.batch(X), looped.batch(X))
+        assert np.array_equal(batched.record(X, score(counted, X)), [looped(x) for x in X])
         assert tracked_state(batched) == tracked_state(looped)
-    assert batched.fn.batches == 5
+    assert counted.batches == 5
 
 
 def test_tracked_batch_names_the_same_non_finite_row():
@@ -299,10 +315,13 @@ def test_tracked_batch_names_the_same_non_finite_row():
 
     X = np.linspace(-2.0, 2.0, 40).reshape(10, 4)
     errors, states = [], []
-    for fn in (CountedBatches(poisoned), lambda x: poisoned(x)):
-        tracked = TrackedObjective(fn)
+    batched, looped = TrackedObjective(poisoned), TrackedObjective(poisoned)
+    for tracked, record in (
+        (batched, lambda: batched.record(X, score(CountedBatches(poisoned), X))),
+        (looped, lambda: [looped(x) for x in X]),
+    ):
         with pytest.raises(NonFiniteObjectiveError) as err:
-            tracked.batch(X)
+            record()
         errors.append((str(err.value), err.value.point.tolist()))
         states.append(tracked_state(tracked))
     assert errors[0] == errors[1]
@@ -318,12 +337,122 @@ def test_batched_objective_gives_the_scalar_run(name):
     counted = CountedBatches(objective)
     batched = optimize(counted, spec.bounds, params, seed=7)
     scalar = optimize(lambda x: objective(x), spec.bounds, params, seed=7)
-    # one call per generation; ABC batches only its first population
-    assert counted.batches == (1 if name == "abc" else params.iterations + 1)
+    # one call per generation, and for ABC one per phase (its scouts, and
+    # moves that an earlier move of the phase changed, score one by one)
+    assert counted.batches == (2 if name == "abc" else 1) * params.iterations + 1
     assert batched.best_f == scalar.best_f
     assert np.array_equal(batched.best_x, scalar.best_x)
     assert np.array_equal(batched.trace, scalar.trace)
     assert batched.evaluations == scalar.evaluations
+
+
+# ----------------------------------------------------------------------
+# lockstep: several seeded runs scored in one batch per round
+# ----------------------------------------------------------------------
+
+def run_cell(objective, name, bounds, params, seeds):
+    steps = STEPS[name]
+    return lockstep(objective, [lambda tracked, s=s: steps(tracked, bounds, params, s) for s in seeds])
+
+
+@pytest.mark.parametrize("name", sorted(FAST))
+def test_lockstep_cell_gives_the_single_runs(name):
+    optimize, params = FAST[name]
+    spec = ObjectiveSpec()
+    objective = CountedBatches(make_objective(MechanismConfig(), spec))
+    cell = run_cell(objective, name, spec.bounds, params, (1, 2, 3))
+    # one batch per round for the whole cell
+    assert objective.batches == (2 if name == "abc" else 1) * params.iterations + 1
+    for seed, together in zip((1, 2, 3), cell):
+        alone = optimize(objective.fn, spec.bounds, params, seed)
+        assert (together.algorithm, together.seed) == (name, seed)
+        assert together.best_f == alone.best_f
+        assert np.array_equal(together.best_x, alone.best_x)
+        assert np.array_equal(together.trace, alone.trace)
+        assert together.evaluations == alone.evaluations
+
+
+POISON = 99.0  # outside every box these tests search
+
+
+def poisoned_run(tracked):
+    """A run whose second population holds a point the objective fails on."""
+    X = np.zeros((3, 4))
+    tracked.record(X, (yield X))
+    X[1, 0] = POISON
+    tracked.record(X, (yield X))
+
+
+class Poisoned(CountedBatches):
+    """sphere, with ``value`` at the poison point (an exception is raised)."""
+
+    def __init__(self, value):
+        super().__init__(sphere)
+        self.value = value
+
+    def batch(self, X):
+        values = super().batch(X)
+        if np.any(X[:, 0] == POISON):
+            if isinstance(self.value, Exception):
+                raise self.value
+            values[X[:, 0] == POISON] = self.value
+        return values
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, ValueError("bad point")])
+def test_one_failing_run_leaves_the_others_as_alone(value):
+    optimize, params = FAST["pso"]
+    steps = STEPS["pso"]
+    objective = Poisoned(value)
+    runs = [lambda tracked, s=s: steps(tracked, BOX, params, s) for s in (1, 3)]
+    first, failed, third = lockstep(objective, [runs[0], poisoned_run, runs[1]])
+    if isinstance(value, Exception):
+        assert failed is value
+    else:
+        assert isinstance(failed, NonFiniteObjectiveError)
+        assert failed.point.tolist() == [POISON, 0.0, 0.0, 0.0]
+    for seed, together in ((1, first), (3, third)):
+        alone = optimize(sphere, BOX, params, seed)
+        assert together.best_f == alone.best_f
+        assert np.array_equal(together.best_x, alone.best_x)
+        assert np.array_equal(together.trace, alone.trace)
+        assert together.evaluations == alone.evaluations
+
+
+@pytest.mark.parametrize("name", sorted(FAST))
+def test_lockstep_time_adds_up_to_the_cell(name):
+    _, params = FAST[name]
+    spec = ObjectiveSpec()
+    objective = make_objective(MechanismConfig(), spec)
+    start = time.perf_counter()
+    cell = run_cell(objective, name, spec.bounds, params, (1, 2, 3))
+    wall = time.perf_counter() - start
+    assert sum(r.wall_time for r in cell) == pytest.approx(wall, rel=0.05)
+    for result in cell:
+        assert len(result.time_trace) == params.iterations
+        assert np.all(np.diff(result.time_trace) >= 0)
+        assert 0 < result.time_trace[-1] <= result.wall_time
+
+
+def test_phase_draws_match_the_per_move_calls():
+    def per_move(rng, count, d, partners):
+        draws = [(rng.integers(d), rng.integers(partners), rng.uniform(-1.0, 1.0)) for _ in range(count)]
+        return [np.array([draw[c] for draw in draws]) for c in range(3)]
+
+    # (d, partners): the ABC shapes; bounds of 1, which draw nothing; and
+    # bounds whose rejection zone is half of all draws, which rewind
+    for d, partners in [(4, 24), (4, 49), (1, 5), (3, 1), (7, 2**31 + 1), (2**31 + 3, 13)]:
+        for seed in range(20):
+            for spare_half_word in (False, True):
+                rngs = substream(seed, 1), substream(seed, 1)
+                if spare_half_word:
+                    for rng in rngs:
+                        rng.integers(5)
+                got = move_draws(rngs[0], 25, d, partners)
+                want = per_move(rngs[1], 25, d, partners)
+                for a, b in zip(got, want):
+                    assert np.array_equal(a, b)
+                assert np.array_equal(rngs[0].random(4), rngs[1].random(4))
 
 
 def test_param_validation():
@@ -365,6 +494,33 @@ def test_params_reject_non_finite_values(factory, field):
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             factory(**{field: bad})
+
+
+@pytest.mark.parametrize(
+    "factory, field, value",
+    [
+        (BenchSettings, "iteration_budgets", (2.5, 10)),
+        (BenchSettings, "repeats", 2.5),
+        (BenchSettings, "base_seed", "1"),
+        (ObjectiveSpec, "n_samples", 64.5),
+        (PsoParams, "population", 2.5),
+        (AbcParams, "limit", 3.7),
+        (BgaParams, "bits_per_variable", 16.5),
+        (HgapsoParams, "iterations", 1.25),
+    ],
+)
+def test_params_reject_non_integer_values(factory, field, value):
+    kind = "integers" if field == "iteration_budgets" else "an integer"
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be {kind} (got {value!r})")):
+        factory(**{field: value})
+
+
+def test_integral_values_are_stored_as_ints():
+    settings = BenchSettings(iteration_budgets=[2e2, np.int64(300)], repeats=2.0)
+    assert settings.iteration_budgets == (200, 300) and settings.repeats == 2
+    assert all(type(b) is int for b in (*settings.iteration_budgets, settings.repeats))
+    params = AbcParams(limit=np.float64(7.0))
+    assert params.limit == 7 and type(params.limit) is int
 
 
 # ----------------------------------------------------------------------
