@@ -213,6 +213,12 @@ def _run_alone(tasks, jobs: int) -> list[ResultRow]:
     return rows
 
 
+def require_jobs(jobs: int) -> None:
+    """Reject a worker count below 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1 (got {jobs})")
+
+
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     """Execute every (algorithm, budget, repeat) cell of the plan.
 
@@ -230,6 +236,7 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     fresh pool of its own, and one that crashes again stays failed, with
     the reason.
     """
+    require_jobs(jobs)
     cells = [(a, b) for a in plan.algorithms for b in plan.iteration_budgets]
     runs = [(r + 1, plan.base_seed + r) for r in range(plan.repeats)]
     chunks = min(plan.repeats, (jobs + len(cells) - 1) // len(cells))
@@ -248,7 +255,8 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     ]
     if jobs <= 1 or len(tasks) == 1:
         return [row for t in tasks for row in _execute_cell(t)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # a fork pool starts all its workers at once: no more than it has tasks
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
         futures = [pool.submit(_execute_cell, t) for t in tasks]
         rows = [_collect(f, t) for f, t in zip(futures, tasks)]
     lost = [i for i, f in enumerate(futures) if isinstance(f.exception(), BrokenProcessPool)]

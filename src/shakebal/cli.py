@@ -152,6 +152,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_bench(args) -> int:
     config = _load_config(args.config)
+    with _flags(jobs="--jobs"):
+        bench_mod.require_jobs(args.jobs)
     targets = _prepare_outputs(
         args.out,
         ["results.csv", "summary.csv", "convergence.csv", "runtime.csv"],

@@ -31,9 +31,10 @@ HALF_PI = 0.5 * math.pi
 MAX_GRID_SAMPLES = 2**20
 
 
-def wrap_angle(angle: float) -> float:
-    """Normalize an angle to [0, 2*pi)."""
-    return angle % TWO_PI
+def wrap_angle(angle):
+    """Normalize an angle, a float or an array, to [0, 2*pi).  The second
+    ``%`` maps 2*pi, which the first gives for -1e-20, to 0."""
+    return angle % TWO_PI % TWO_PI
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,8 @@ class HarmonicTable:
 
     A base row per profile from the config (``base``), plus the
     counterweight terms u_j = m_j r_j omega**2 (cos phi_j, sin phi_j), with
-    the ``gains`` r_j omega**2, which enter the forces directly and the
+    the ``gains`` r_j omega**2: ``counterweights`` maps (m, phi) to u, and
+    ``rows(u)``, affine in u, enters u in the forces directly and in the
     moments on the ``arms`` a_1 and a_1 + a_2.  p2 and p3 carry the first
     harmonic only: the sliders and their R/L second harmonic act along x.
     The test suite checks the table against the independent term-by-term
@@ -183,15 +185,17 @@ class HarmonicTable:
         self.gains = (cfg.r_1 * w2, cfg.r_2 * w2)
         self.arms = (cfg.a_1, cfg.a_1 + cfg.a_2)
 
-    def rows(self, m_1, m_2, phi_1, phi_2, cos, sin):
-        """Rows (p1, p2, p3, p4) for floats (with math's cos/sin) or for
-        columns (with numpy's), by the same operations in the same order."""
+    def counterweights(self, m_1, m_2, phi_1, phi_2, cos, sin):
+        """u = (c_1, s_1, c_2, s_2) for floats (with math's cos/sin) or for
+        columns (with numpy's) alike, each phi_j wrapped by ``wrap_angle``."""
         k1, k2 = self.gains
+        g1, g2 = m_1 * k1, m_2 * k2
+        phi_1, phi_2 = wrap_angle(phi_1), wrap_angle(phi_2)
+        return g1 * cos(phi_1), g1 * sin(phi_1), g2 * cos(phi_2), g2 * sin(phi_2)
+
+    def rows(self, c_1, s_1, c_2, s_2):
+        """Rows (p1, p2, p3, p4) at u, floats or columns."""
         arm_1, arm_2 = self.arms
-        g1 = m_1 * k1
-        g2 = m_2 * k2
-        c_1, s_1 = g1 * cos(phi_1), g1 * sin(phi_1)
-        c_2, s_2 = g2 * cos(phi_2), g2 * sin(phi_2)
         fc, fs = c_1 + c_2, s_1 + s_2
         mc = arm_1 * c_1 + arm_2 * c_2
         ms = arm_1 * s_1 + arm_2 * s_2
@@ -205,7 +209,7 @@ class HarmonicTable:
 
     def coefficients(self, dv: DecisionVector):
         """Rows (p1, p2, p3, p4) for one counterweight choice."""
-        return self.rows(dv.m_1, dv.m_2, dv.phi_1, dv.phi_2, math.cos, math.sin)
+        return self.rows(*self.counterweights(dv.m_1, dv.m_2, dv.phi_1, dv.phi_2, math.cos, math.sin))
 
 
 def half_square_integral(row):

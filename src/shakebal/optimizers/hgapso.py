@@ -105,18 +105,12 @@ def hgapso_steps(tracked: TrackedObjective, bounds: Bounds, params: HgapsoParams
         # offspring fill the remaining slots, bred from the encoded population
         genomes = encode_point(x, bounds, nb)
         children = breed(rng, genomes, rank_probabilities(f), pop - n_elite, params.bga)
+        offspring = decode_bits(children, bounds, nb)
 
-        new_x = np.empty_like(x)
-        new_x[:n_elite] = bounds.clip(x[elite] + v_elite)
-        new_v = np.zeros_like(v)
-        new_v[:n_elite] = v_elite
-        new_pbest_x = np.empty_like(pbest_x)
-        new_pbest_x[:n_elite] = pbest_x[elite]
-        new_pbest_f = np.full(pop, np.inf)
-        new_pbest_f[:n_elite] = pbest_f[elite]
-        new_x[n_elite:] = new_pbest_x[n_elite:] = decode_bits(children, bounds, nb)
-
-        x, v, pbest_x, pbest_f = new_x, new_v, new_pbest_x, new_pbest_f
+        x = np.concatenate([bounds.clip(x[elite] + v_elite), offspring])
+        v = np.concatenate([v_elite, np.zeros_like(offspring)])
+        pbest_x = np.concatenate([pbest_x[elite], offspring])
+        pbest_f = np.concatenate([pbest_f[elite], np.full(pop - n_elite, np.inf)])
         f = tracked.record(x, (yield x))
         improved = f < pbest_f
         pbest_x[improved] = x[improved]

@@ -7,11 +7,13 @@ import math
 import multiprocessing
 import os
 import re
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from shakebal import bench
 from shakebal.bench import (
     CONVERGENCE_HEADER,
     RESULTS_HEADER,
@@ -99,6 +101,38 @@ def test_a_cell_split_across_workers_matches_serial(tmp_path, jobs):
     write_results(run_plan(plan), tmp_path / "serial.csv")
     write_results(rows, tmp_path / "parallel.csv")
     assert results_equal_modulo_time(tmp_path / "serial.csv", tmp_path / "parallel.csv")
+
+
+@pytest.mark.parametrize("jobs", [0, -1, -20])
+def test_jobs_below_one_are_rejected(jobs):
+    with pytest.raises(ValueError, match=rf"^jobs must be >= 1 \(got {jobs}\)$"):
+        run_plan(tiny_plan(), jobs=jobs)
+
+
+def test_the_pool_has_no_more_workers_than_tasks(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Runs each task at submit, in this process: no worker starts."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    rows = run_plan(tiny_plan(), jobs=10**6)
+    assert sizes == [4]  # 2 cells, each split into 2 chunks of 1 seed
+    assert [r.status for r in rows] == ["ok"] * 4
 
 
 def test_failed_runs_stay_in_the_table():

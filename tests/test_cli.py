@@ -226,6 +226,14 @@ def test_negative_seed_flag_exits_1_before_any_output(tmp_path, capsys, command)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_bench_rejects_jobs_below_one_before_any_output(fast_cfg, tmp_path, capsys, jobs):
+    out = tmp_path / "b"
+    assert main(["bench", "--config", fast_cfg, "--out", str(out), "--jobs", jobs]) == 1
+    assert capsys.readouterr().err == f"error: --jobs: jobs must be >= 1 (got {jobs})\n"
+    assert not out.exists()
+
+
 def test_bench_says_why_each_run_failed(tmp_path, capsys):
     cfg = tmp_path / "doomed.cfg"
     # every point is infeasible, and its penalty overflows to inf

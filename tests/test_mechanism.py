@@ -133,6 +133,21 @@ def test_matches_term_by_term_oracle():
             assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
+def test_table_rows_are_affine_in_u():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        table = split(random_params(rng))[0].table
+        assert table.rows(0.0, 0.0, 0.0, 0.0) == table.base
+        scale = max(table.gains)
+        u, v = rng.normal(0.0, scale, (2, 4))
+        t = rng.random()
+        mixed = table.rows(*(t * u + (1 - t) * v))
+        for got, at_u, at_v in zip(mixed, table.rows(*u), table.rows(*v)):
+            want = t * np.array(at_u) + (1 - t) * np.array(at_v)
+            size = max(scale, *np.abs(want))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * size)
+
+
 def test_profile_arrays_matches_individual_ops():
     rng = np.random.default_rng(10)
     cfg, dv = split(random_params(rng))
@@ -202,6 +217,10 @@ def test_angles_normalized_at_boundary():
     assert 0.0 <= dv.phi_1 < 2 * math.pi
     assert 0.0 <= dv.phi_2 < 2 * math.pi
     assert wrap_angle(2 * math.pi) == 0.0
+    # one % rounds these up to 2*pi itself
+    for phi in (-1e-20, -4e-16):
+        assert wrap_angle(phi) == 0.0
+        assert DecisionVector(1.0, 1.0, phi, phi).phi_1 == 0.0
 
 
 def test_decision_vector_shift_by_two_pi_is_identity():

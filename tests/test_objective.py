@@ -429,6 +429,14 @@ def population_with_faces(rng, bounds: Bounds, n: int = 120) -> np.ndarray:
     return X
 
 
+def wide_phase_box(bounds: Bounds) -> Bounds:
+    """``bounds`` with each phase over [-2*pi, 4*pi]."""
+    turn = 2 * math.pi
+    return Bounds(
+        np.array([*bounds.lower[:2], -turn, -turn]), np.array([*bounds.upper[:2], 2 * turn, 2 * turn])
+    )
+
+
 def test_batch_matches_total_on_random_mechanisms():
     rng = np.random.default_rng(21)
     for _ in range(30):
@@ -441,6 +449,10 @@ def test_batch_matches_total_on_random_mechanisms():
         X = population_with_faces(rng, default_search_bounds(cfg))
         assert_batch_matches_total(cfg, X)
         assert_batch_matches_total(cfg, X, ObjectiveSpec(c1_max=1e30, c2_max=1e30))
+        # phases beyond a turn, and ones that a single % wraps to 2*pi itself
+        X = population_with_faces(rng, wide_phase_box(default_search_bounds(cfg)))
+        X[40:44, 2:] = [[-1e-20, 0.0], [0.0, -4e-16], [-5e-300, -1e-20], [-1e-20, 4 * math.pi]]
+        assert_batch_matches_total(cfg, X)
 
 
 def test_batch_matches_total_on_degenerate_profiles():
@@ -522,12 +534,12 @@ def test_calibrate_single_sample_is_exact():
 
 def test_calibrate_is_the_max_of_evaluate_over_the_stream():
     cfg = MechanismConfig()
-    bounds = default_search_bounds(cfg)
-    rng = substream(3, 0)
-    areas = [evaluate(cfg, DecisionVector.from_array(bounds.lerp(rng.random(4))), ObjectiveSpec())
-             for _ in range(500)]
-    got = calibrate_bounds(cfg, bounds, n_random=500, fraction=0.3, seed=3)
-    assert got == (0.3 * max(b.c1 for b in areas), 0.3 * max(b.c2 for b in areas))
+    for bounds in (default_search_bounds(cfg), wide_phase_box(default_search_bounds(cfg))):
+        rng = substream(3, 0)
+        areas = [evaluate(cfg, DecisionVector.from_array(bounds.lerp(rng.random(4))), ObjectiveSpec())
+                 for _ in range(500)]
+        got = calibrate_bounds(cfg, bounds, n_random=500, fraction=0.3, seed=3)
+        assert got == (0.3 * max(b.c1 for b in areas), 0.3 * max(b.c2 for b in areas))
 
 
 def test_calibrate_rejects_a_negative_mass_bound():

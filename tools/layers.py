@@ -1,6 +1,6 @@
 """Layer timings of shakebal, from one cost call up to a whole campaign.
 
-    python tools/layers.py [--out BENCH_11.json] [--repeats 3] NAME=SRC ...
+    python tools/layers.py --out BENCH_<N>.json [--repeats 3] NAME=SRC ...
 
 Each NAME=SRC names a source tree: SRC is the directory that holds the
 ``shakebal`` package (``src`` in a checkout).  Two trees, such as a parent
@@ -11,9 +11,8 @@ imports shakebal from SRC:
 - one scalar cost call on the default problem (``scalar_us``);
 - one ``batch`` call at 1, 25, 50 and 100 rows (``batch_ms``);
 - each algorithm's 300-iteration run on the default problem, per seed,
-  at R = 1, 2 and 10 seeds (``run_s``).  R seeds run in lockstep
-  (``optimizers.lockstep``) where the tree has it, else one after the
-  other;
+  at R = 1, 2 and 10 seeds (``run_s``), the R seeds in lockstep
+  (``optimizers.lockstep``);
 
 and then ``shakebal bench`` on the default config, at ``--jobs 1`` and
 ``--jobs 2`` (``bench_s``), each in its own process.  Every figure written
@@ -72,19 +71,14 @@ def child(src: str, round_index: int) -> dict:
         out["batch_ms"][str(rows)] = 1e3 * (time.perf_counter() - start) / BATCH_CALLS
 
     out["run_s"] = {}
-    lockstep = getattr(optimizers, "lockstep", None)
     for name, params in default_optimizer_params().items():
         params = dataclasses.replace(params, iterations=ITERATIONS)
         out["run_s"][name] = {}
+        steps = optimizers.STEPS[name]
         for count in SEEDS:
             seeds = [round_index * 100 + s for s in range(count)]
             start = time.perf_counter()
-            if lockstep is None or count == 1:
-                for seed in seeds:
-                    optimizers.OPTIMIZERS[name](objective, spec.bounds, params, seed)
-            else:
-                steps = optimizers.STEPS[name]
-                lockstep(objective, [lambda t, s=s: steps(t, spec.bounds, params, s) for s in seeds])
+            optimizers.lockstep(objective, [lambda t, s=s: steps(t, spec.bounds, params, s) for s in seeds])
             out["run_s"][name][str(count)] = (time.perf_counter() - start) / count
     return out
 
@@ -119,7 +113,7 @@ def medians(samples: list):
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("trees", nargs="*", metavar="NAME=SRC")
-    parser.add_argument("--out", default="BENCH_11.json")
+    parser.add_argument("--out", help="the JSON file to write (required)")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--child", help=argparse.SUPPRESS)
     parser.add_argument("--round", type=int, default=1, help=argparse.SUPPRESS)
@@ -127,8 +121,8 @@ def main() -> None:
     if args.child:
         print(json.dumps(child(args.child, args.round)))
         return
-    if not args.trees or args.repeats < 1:
-        parser.error("give at least one NAME=SRC and --repeats >= 1")
+    if not args.out or not args.trees or args.repeats < 1:
+        parser.error("give --out, at least one NAME=SRC and --repeats >= 1")
     trees = dict(tree.split("=", 1) for tree in args.trees)
     trees = {name: os.path.abspath(src) for name, src in trees.items()}
     rounds = {name: [] for name in trees}
