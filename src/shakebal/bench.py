@@ -110,11 +110,20 @@ class ExperimentPlan(BenchSettings):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        # an algorithm without an entry runs with its defaults
+        params = default_optimizer_params()
+        for name, given in self.optimizer_params.items():
+            if name not in params:
+                raise ValueError(f"optimizer_params names unknown algorithm {name!r}")
+            if not isinstance(given, type(params[name])):
+                raise ValueError(
+                    f"optimizer_params[{name!r}] must be {type(params[name]).__name__}"
+                    f" (got {type(given).__name__})"
+                )
+        self.optimizer_params = params = {**params, **self.optimizer_params}
         # reject bga settings that no BGA or HGAPSO run could breed with
-        hgapso = self.optimizer_params.get("hgapso")
-        for bga in (self.optimizer_params.get("bga"), hgapso and hgapso.bga):
-            if bga is not None:
-                chromosome_length(bga, self.objective.bounds.dimension)
+        for bga in (params["bga"], params["hgapso"].bga):
+            chromosome_length(bga, self.objective.bounds.dimension)
 
 
 @dataclass
@@ -153,63 +162,56 @@ class SummaryRow:
     worst: float
 
 
-def _row(task, experiment: int, seed: int, outcome) -> ResultRow:
-    """The row of one run of a cell, from its RunResult or from the
-    exception that ended it ("Type: message" in a failed row)."""
-    algorithm, budget, _, cfg, spec, _ = task
+def _row(cfg, spec, run, outcome) -> ResultRow:
+    """The row of one run, from its RunResult or from the exception that
+    ended it ("Type: message" in a failed row); a run is (algorithm,
+    budget, experiment, seed, params)."""
     try:
         if isinstance(outcome, Exception):
             raise outcome
         dv = DecisionVector.from_array(outcome.best_x)
         cost = evaluate(cfg, dv, spec)
     except Exception as exc:
-        return ResultRow(
-            algorithm, budget, experiment, seed, status="failed", error=f"{type(exc).__name__}: {exc}"
-        )
+        return ResultRow(*run[:4], status="failed", error=f"{type(exc).__name__}: {exc}")
     return ResultRow(
-        algorithm, budget, experiment, seed, dv.m_1, dv.m_2, dv.phi_1, dv.phi_2,
+        *run[:4], dv.m_1, dv.m_2, dv.phi_1, dv.phi_2,
         cost.raw_cost, cost.c1, cost.c2, cost.total, outcome.wall_time, result=outcome,
     )
 
 
-def _execute_cell(task) -> list[ResultRow]:
-    """Run the seeds of one (algorithm, budget) cell in lockstep, one row
-    per seed; an exception fails the rows of the runs it ended, so the
-    plan keeps going."""
-    algorithm, budget, runs, cfg, spec, params = task
+def _execute_share(cfg, spec, runs) -> list[ResultRow]:
+    """Run a worker's share of the plan in lockstep, one row per run; an
+    exception fails the rows of the runs it ended, so the plan keeps
+    going."""
     try:
-        objective = make_objective(cfg, spec)
-        params = dataclasses.replace(params, iterations=budget)
-        steps = STEPS[algorithm]
         outcomes = lockstep(
-            objective,
-            [lambda tracked, seed=seed: steps(tracked, spec.bounds, params, seed) for _, seed in runs],
+            make_objective(cfg, spec),
+            [lambda tracked, a=a, p=p, s=s: STEPS[a](tracked, spec.bounds, p, s) for a, _, _, s, p in runs],
         )
     except Exception as exc:
         outcomes = [exc] * len(runs)
-    return [_row(task, *run, outcome) for run, outcome in zip(runs, outcomes)]
+    return [_row(cfg, spec, run, outcome) for run, outcome in zip(runs, outcomes)]
 
 
-def _collect(future, task) -> list[ResultRow]:
-    """The rows of a submitted cell; a worker that died (BrokenProcessPool)
+def _collect(future, cfg, spec, runs) -> list[ResultRow]:
+    """The rows of a submitted share; a worker that died (BrokenProcessPool)
     fails the runs it took with it."""
     try:
         return future.result()
     except Exception as exc:
-        return [_row(task, *run, exc) for run in task[2]]
+        return [_row(cfg, spec, run, exc) for run in runs]
 
 
-def _run_alone(tasks, jobs: int) -> list[ResultRow]:
-    """Rows of ``tasks``, each seed run on a fresh pool of its own, ``jobs``
-    pools at a time: a worker that dies fails only its own run."""
-    singles = [(*task[:2], (run,), *task[3:]) for task in tasks for run in task[2]]
+def _run_alone(cfg, spec, runs, jobs: int) -> list[ResultRow]:
+    """Rows of ``runs``, each run on a fresh pool of its own, ``jobs`` pools
+    at a time: a worker that dies fails only its own run."""
     rows = []
-    for start in range(0, len(singles), jobs):
-        wave = singles[start:start + jobs]
+    for start in range(0, len(runs), jobs):
+        wave = [[run] for run in runs[start:start + jobs]]
         with ExitStack() as stack:
             pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in wave]
-            futures = [pool.submit(_execute_cell, t) for pool, t in zip(pools, wave)]
-            rows += [row for f, t in zip(futures, wave) for row in _collect(f, t)]
+            futures = [pool.submit(_execute_share, cfg, spec, one) for pool, one in zip(pools, wave)]
+            rows += [row for f, one in zip(futures, wave) for row in _collect(f, cfg, spec, one)]
     return rows
 
 
@@ -220,50 +222,42 @@ def require_jobs(jobs: int) -> None:
 
 
 def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
-    """Execute every (algorithm, budget, repeat) cell of the plan.
+    """Execute every (algorithm, budget, repeat) run of the plan.
 
     Repeat r (1-based experiment number) always runs with seed
     base_seed + r - 1, for every algorithm and budget, mirroring the
     "same initial conditions per experiment column" reading of the
-    protocol.  The repeats of one (algorithm, budget) cell run as one
-    task, in lockstep (``optimizers.lockstep``), with the results each
-    would have alone.  When the plan has fewer cells than ``jobs``, each
-    cell is split into ceil(jobs / cells) chunks of seeds, so that every
-    worker gets a task.  Rows come back in
-    deterministic (algorithm, budget, experiment) order regardless of
+    protocol.  The runs, in (algorithm, budget, experiment) order, are
+    dealt round-robin into min(jobs, runs) shares, and each worker runs
+    its share in lockstep (``optimizers.lockstep``), with the results each
+    run would have alone.  Rows come back in that order regardless of
     ``jobs``.  A worker process that crashes breaks the pool and every
-    task still pending on it; each run of those tasks runs once more on a
-    fresh pool of its own, and one that crashes again stays failed, with
+    share still pending on it; each run of those shares runs once more on
+    a fresh pool of its own, and one that crashes again stays failed, with
     the reason.
     """
     require_jobs(jobs)
-    cells = [(a, b) for a in plan.algorithms for b in plan.iteration_budgets]
-    runs = [(r + 1, plan.base_seed + r) for r in range(plan.repeats)]
-    chunks = min(plan.repeats, (jobs + len(cells) - 1) // len(cells))
-    cuts = [len(runs) * c // chunks for c in range(chunks + 1)]
-    tasks = [
-        (
-            algorithm,
-            budget,
-            tuple(runs[lo:hi]),
-            plan.mechanism,
-            plan.objective,
-            plan.optimizer_params[algorithm],
-        )
-        for algorithm, budget in cells
-        for lo, hi in zip(cuts, cuts[1:])
+    cfg, spec = plan.mechanism, plan.objective
+    runs = [
+        (a, b, r + 1, plan.base_seed + r, dataclasses.replace(plan.optimizer_params[a], iterations=b))
+        for a in plan.algorithms
+        for b in plan.iteration_budgets
+        for r in range(plan.repeats)
     ]
-    if jobs <= 1 or len(tasks) == 1:
-        return [row for t in tasks for row in _execute_cell(t)]
-    # a fork pool starts all its workers at once: no more than it has tasks
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        futures = [pool.submit(_execute_cell, t) for t in tasks]
-        rows = [_collect(f, t) for f, t in zip(futures, tasks)]
-    lost = [i for i, f in enumerate(futures) if isinstance(f.exception(), BrokenProcessPool)]
-    rerun = iter(_run_alone([tasks[i] for i in lost], jobs))
-    for i in lost:
-        rows[i] = [next(rerun) for _ in tasks[i][2]]
-    return [row for cell in rows for row in cell]
+    # a fork pool starts all its workers at once: no more than it has shares
+    workers = min(jobs, len(runs))
+    if workers == 1:
+        return _execute_share(cfg, spec, runs)
+    shares = [runs[w::workers] for w in range(workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_execute_share, cfg, spec, share) for share in shares]
+        parts = [_collect(f, cfg, spec, share) for f, share in zip(futures, shares)]
+    lost = [w for w, f in enumerate(futures) if isinstance(f.exception(), BrokenProcessPool)]
+    rerun = iter(_run_alone(cfg, spec, [run for w in lost for run in shares[w]], jobs))
+    rows = [None] * len(runs)
+    for w, part in enumerate(parts):
+        rows[w::workers] = [next(rerun) for _ in part] if w in lost else part
+    return rows
 
 
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
@@ -305,10 +299,10 @@ def _float_columns(record_type) -> list[str]:
 
 def _write_csv(path, header, records, floats) -> None:
     """The one table writer: ``header``, then one line per record (a
-    sequence of cells).  A cell of a column named in ``floats`` is written
-    as repr(float(v)), the shortest text that parses back to the same
-    float, whatever numeric type holds it; None is an empty field, and any
-    other cell is written with str."""
+    sequence of values).  A value of a column named in ``floats`` is
+    written as repr(float(v)), the shortest text that parses back to the
+    same float, whatever numeric type holds it; None is an empty field,
+    and any other value is written with str."""
     is_float = [name in floats for name in header]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

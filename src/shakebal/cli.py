@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .config import AppConfig, ConfigError, named_key, optimizer_params_map, parse_config
-from .mechanism import DecisionVector
+from .mechanism import DecisionVector, require_grid_size
 from .objective import calibrate_bounds
 from .optimizers import ALGORITHM_NAMES
 from .optimizers.common import require_seed
@@ -204,12 +204,13 @@ def _read_solutions(path: str) -> list[tuple[str, DecisionVector]]:
 
 def cmd_profile(args) -> int:
     config = _load_config(args.config)
+    with _flags(n_samples="--samples"):
+        require_grid_size(args.samples)
     solutions = _read_solutions(args.solutions)
     targets = _prepare_outputs(args.out, ["polar.csv"], args.force)
-    with _flags(n_samples="--samples"):
-        bench_mod.emit_polar(
-            config.mechanism, DecisionVector.zero(), solutions, args.samples, targets["polar.csv"]
-        )
+    bench_mod.emit_polar(
+        config.mechanism, DecisionVector.zero(), solutions, args.samples, targets["polar.csv"]
+    )
     print(f"wrote {targets['polar.csv']}")
     return EXIT_OK
 

@@ -34,7 +34,7 @@ from shakebal.bench import (
 )
 from shakebal.mechanism import DecisionVector, MechanismConfig
 from shakebal.objective import ObjectiveSpec, default_search_bounds
-from shakebal.optimizers import STEPS, AbcParams, BgaParams, HgapsoParams, PsoParams, RunResult
+from shakebal.optimizers import STEPS, AbcParams, BgaParams, HgapsoParams, PsoParams, RunResult, lockstep
 
 from _oracles import polar_area_oracle
 
@@ -89,12 +89,32 @@ def test_parallel_execution_matches_serial(tmp_path):
     write_results(run_plan(plan, jobs=1), tmp_path / "serial.csv")
     write_results(run_plan(plan, jobs=2), tmp_path / "parallel.csv")
     assert results_equal_modulo_time(tmp_path / "serial.csv", tmp_path / "parallel.csv")
+    # 24 runs of four algorithms dealt into 2 or 3 shares, each share
+    # holding 1 or 2 seeds of every cell
+    plan = tiny_plan(algorithms=tuple(TINY_PARAMS), iteration_budgets=(5, 10), repeats=3)
+    write_results(run_plan(plan, jobs=1), tmp_path / "serial.csv")
+    for jobs in (2, 3):
+        write_results(run_plan(plan, jobs=jobs), tmp_path / "parallel.csv")
+        assert results_equal_modulo_time(tmp_path / "serial.csv", tmp_path / "parallel.csv")
+
+
+def test_one_process_runs_the_plan_in_one_lockstep(monkeypatch):
+    sizes = []
+
+    def counted(objective, runs):
+        sizes.append(len(runs))
+        return lockstep(objective, runs)
+
+    monkeypatch.setattr(bench, "lockstep", counted)
+    rows = run_plan(tiny_plan(iteration_budgets=(5, 10)), jobs=1)
+    assert sizes == [2 * 2 * 2]
+    assert [r.status for r in rows] == ["ok"] * 8
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_a_cell_split_across_workers_matches_serial(tmp_path, jobs):
-    # one cell, fewer than jobs: its seeds are split into chunks of 1 + 2
-    # (jobs=2) or 1 + 1 + 1 (jobs=3), each run in lockstep in a worker
+    # one cell of 3 runs, dealt into shares of 2 + 1 (jobs=2) or 1 + 1 + 1
+    # (jobs=3), each share run in lockstep in a worker
     plan = tiny_plan(algorithms=("abc",), repeats=3)
     rows = run_plan(plan, jobs=jobs)
     assert [(r.experiment, r.seed, r.status) for r in rows] == [(k, k, "ok") for k in (1, 2, 3)]
@@ -131,7 +151,7 @@ def test_the_pool_has_no_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
     rows = run_plan(tiny_plan(), jobs=10**6)
-    assert sizes == [4]  # 2 cells, each split into 2 chunks of 1 seed
+    assert sizes == [4]  # 4 runs, dealt into 4 shares of 1 run
     assert [r.status for r in rows] == ["ok"] * 4
 
 
@@ -404,6 +424,18 @@ def test_plan_validation():
         ExperimentPlan(algorithms=("pso", "pso"), iteration_budgets=(3, 3), repeats=2)
     with pytest.raises(ValueError, match=re.escape("iteration_budgets must not repeat (got [3, 5, 3])")):
         tiny_plan(iteration_budgets=(3, 5, 3.0))
+    # optimizer_params must hold one params object of its own class per
+    # algorithm it names; a planned algorithm it does not name runs with
+    # its defaults
+    with pytest.raises(ValueError, match=re.escape("optimizer_params names unknown algorithm 'nope'")):
+        tiny_plan(optimizer_params={"pso": PsoParams(), "nope": PsoParams()})
+    with pytest.raises(ValueError, match=re.escape("optimizer_params['abc'] must be AbcParams (got PsoParams)")):
+        tiny_plan(optimizer_params={"abc": PsoParams()})
+    with pytest.raises(ValueError, match=re.escape("must be HgapsoParams (got BgaParams)")):
+        tiny_plan(optimizer_params={"hgapso": BgaParams()})
+    plan = tiny_plan(optimizer_params={"pso": TINY_PARAMS["pso"]})
+    assert plan.optimizer_params == {**bench.default_optimizer_params(), "pso": TINY_PARAMS["pso"]}
+    assert [(r.algorithm, r.status) for r in run_plan(plan)] == [("pso", "ok")] * 2 + [("abc", "ok")] * 2
 
 
 @pytest.mark.parametrize(

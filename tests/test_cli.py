@@ -161,7 +161,7 @@ def test_bad_flag_value_exits_1_with_one_line(tmp_path, capsys, argv, message):
     paths = {"SOLUTIONS": str(solutions), "OUT": str(tmp_path / "o")}
     assert main([paths.get(arg, arg) for arg in argv]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not (tmp_path / "o" / "polar.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_oversized_grid_exits_1_before_any_allocation(fast_cfg, tmp_path, capsys, monkeypatch):
@@ -180,7 +180,7 @@ def test_oversized_grid_exits_1_before_any_allocation(fast_cfg, tmp_path, capsys
             "--samples", "1000000000", "--out", str(tmp_path / "p")]
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: --samples: n_samples must be <= 1048576 (got 1000000000)\n"
-    assert not (tmp_path / "p" / "polar.csv").exists()
+    assert not (tmp_path / "p").exists()
 
 
 def test_oversized_calibration_exits_1_before_the_draw(fast_cfg, capsys, monkeypatch):

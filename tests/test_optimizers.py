@@ -1,6 +1,7 @@
 """Update-rule arithmetic, run-level invariants and sphere sanity checks
 for the four minimizers."""
 
+import dataclasses
 import re
 import time
 
@@ -370,6 +371,29 @@ def test_lockstep_cell_gives_the_single_runs(name):
         assert np.array_equal(together.best_x, alone.best_x)
         assert np.array_equal(together.trace, alone.trace)
         assert together.evaluations == alone.evaluations
+
+
+def test_lockstep_mixing_the_algorithms_gives_the_single_runs():
+    spec = ObjectiveSpec()
+    objective = CountedBatches(make_objective(MechanismConfig(), spec))
+    runs = [
+        (name, dataclasses.replace(FAST[name][1], iterations=budget), seed)
+        for name in sorted(FAST)
+        for budget, seed in ((10, 1), (20, 2))
+    ]
+    together = lockstep(
+        objective, [lambda tracked, r=r: STEPS[r[0]](tracked, spec.bounds, *r[1:]) for r in runs]
+    )
+    # one batch per round for every run: as many rounds as the longest
+    # run asks for (ABC asks twice per iteration)
+    assert objective.batches == 2 * 20 + 1
+    for (name, params, seed), result in zip(runs, together):
+        alone = FAST[name][0](objective.fn, spec.bounds, params, seed)
+        assert (result.algorithm, result.seed) == (name, seed)
+        assert result.best_f == alone.best_f
+        assert np.array_equal(result.best_x, alone.best_x)
+        assert np.array_equal(result.trace, alone.trace)
+        assert result.evaluations == alone.evaluations
 
 
 POISON = 99.0  # outside every box these tests search

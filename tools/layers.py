@@ -3,21 +3,24 @@
     python tools/layers.py --out BENCH_<N>.json [--repeats 3] NAME=SRC ...
 
 Each NAME=SRC names a source tree: SRC is the directory that holds the
-``shakebal`` package (``src`` in a checkout).  Two trees, such as a parent
-commit and a change, are measured in alternating rounds, so that a slow
-spell of the host falls on both.  A round times, in a child process that
-imports shakebal from SRC:
+``shakebal`` package (``src`` in a checkout).  A round times, in a child
+process that imports shakebal from SRC:
 
 - one scalar cost call on the default problem (``scalar_us``);
 - one ``batch`` call at 1, 25, 50 and 100 rows (``batch_ms``);
 - each algorithm's 300-iteration run on the default problem, per seed,
   at R = 1, 2 and 10 seeds (``run_s``), the R seeds in lockstep
-  (``optimizers.lockstep``);
+  (``optimizers.lockstep``), and the share of that run's wall time spent
+  in the objective (``objective_share``);
 
 and then ``shakebal bench`` on the default config, at ``--jobs 1`` and
-``--jobs 2`` (``bench_s``), each in its own process.  Every figure written
-is the median over the rounds, with the samples beside it, and the file
-records the host: nproc, Python and numpy.
+``--jobs 2`` (``bench_s``), each in its own process.  The trees are
+interleaved per layer: each round runs the child of every tree, then
+``--jobs 1`` for every tree, then ``--jobs 2``, and the tree that goes
+first alternates from round to round, so that a slow spell of the host
+falls on all of them.  Every figure written is the median over the
+rounds, with the samples beside it, and the file records the host:
+nproc, Python and numpy.
 """
 
 from __future__ import annotations
@@ -37,6 +40,26 @@ SEEDS = (1, 2, 10)
 ITERATIONS = 300
 SCALAR_CALLS = 2000
 BATCH_CALLS = 100
+
+
+class Timed:
+    """An objective, with the seconds spent in its calls and batches summed."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.seconds = 0.0
+
+    def __call__(self, x):
+        start = time.perf_counter()
+        value = self.fn(x)
+        self.seconds += time.perf_counter() - start
+        return value
+
+    def batch(self, X):
+        start = time.perf_counter()
+        values = self.fn.batch(X)
+        self.seconds += time.perf_counter() - start
+        return values
 
 
 def child(src: str, round_index: int) -> dict:
@@ -70,16 +93,19 @@ def child(src: str, round_index: int) -> dict:
             objective.batch(X)
         out["batch_ms"][str(rows)] = 1e3 * (time.perf_counter() - start) / BATCH_CALLS
 
-    out["run_s"] = {}
+    out["run_s"], out["objective_share"] = {}, {}
     for name, params in default_optimizer_params().items():
         params = dataclasses.replace(params, iterations=ITERATIONS)
-        out["run_s"][name] = {}
+        out["run_s"][name], out["objective_share"][name] = {}, {}
         steps = optimizers.STEPS[name]
         for count in SEEDS:
             seeds = [round_index * 100 + s for s in range(count)]
+            timed = Timed(objective)
             start = time.perf_counter()
-            optimizers.lockstep(objective, [lambda t, s=s: steps(t, spec.bounds, params, s) for s in seeds])
-            out["run_s"][name][str(count)] = (time.perf_counter() - start) / count
+            optimizers.lockstep(timed, [lambda t, s=s: steps(t, spec.bounds, params, s) for s in seeds])
+            wall = time.perf_counter() - start
+            out["run_s"][name][str(count)] = wall / count
+            out["objective_share"][name][str(count)] = timed.seconds / wall
     return out
 
 
@@ -127,13 +153,15 @@ def main() -> None:
     trees = {name: os.path.abspath(src) for name, src in trees.items()}
     rounds = {name: [] for name in trees}
     for k in range(args.repeats):
-        # alternate which tree goes first
+        # each layer for every tree in turn; alternate which tree goes first
         order = list(trees) if k % 2 == 0 else list(reversed(trees))
-        for name in order:
-            layers = run_child(trees[name], k + 1)
-            layers["bench_s"] = {str(jobs): bench_seconds(trees[name], jobs) for jobs in (1, 2)}
-            rounds[name].append(layers)
-            print(f"round {k + 1}/{args.repeats} {name}: bench {layers['bench_s']}", file=sys.stderr)
+        layers = {name: run_child(trees[name], k + 1) for name in order}
+        for jobs in (1, 2):
+            for name in order:
+                layers[name].setdefault("bench_s", {})[str(jobs)] = bench_seconds(trees[name], jobs)
+        for name in trees:
+            rounds[name].append(layers[name])
+            print(f"round {k + 1}/{args.repeats} {name}: bench {layers[name]['bench_s']}", file=sys.stderr)
     import numpy
 
     record = {
