@@ -193,25 +193,27 @@ def _execute_share(cfg, spec, runs) -> list[ResultRow]:
     return [_row(cfg, spec, run, outcome) for run, outcome in zip(runs, outcomes)]
 
 
-def _collect(future, cfg, spec, runs) -> list[ResultRow]:
-    """The rows of a submitted share; a worker that died (BrokenProcessPool)
-    fails the runs it took with it."""
-    try:
-        return future.result()
-    except Exception as exc:
-        return [_row(cfg, spec, run, exc) for run in runs]
-
-
-def _run_alone(cfg, spec, runs, jobs: int) -> list[ResultRow]:
-    """Rows of ``runs``, each run on a fresh pool of its own, ``jobs`` pools
-    at a time: a worker that dies fails only its own run."""
-    rows = []
-    for start in range(0, len(runs), jobs):
-        wave = [[run] for run in runs[start:start + jobs]]
+def _run_pooled(cfg, spec, runs, shares, jobs: int) -> list[ResultRow]:
+    """The rows of ``runs``, each share (a sequence of run indices) run on a
+    one-worker pool of its own, ``jobs`` pools at a time.  Each run of a
+    share whose worker dies (BrokenProcessPool) is queued to run alone; a
+    lone run whose worker dies, or a share that raises, fails with the reason."""
+    rows = [None] * len(runs)
+    while shares:
+        wave, shares = shares[:jobs], shares[jobs:]
         with ExitStack() as stack:
             pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in wave]
-            futures = [pool.submit(_execute_share, cfg, spec, one) for pool, one in zip(pools, wave)]
-            rows += [row for f, one in zip(futures, wave) for row in _collect(f, cfg, spec, one)]
+            futures = [p.submit(_execute_share, cfg, spec, [runs[i] for i in s]) for p, s in zip(pools, wave)]
+        for future, share in zip(futures, wave):
+            try:
+                part = future.result()
+            except Exception as exc:
+                if isinstance(exc, BrokenProcessPool) and len(share) > 1:
+                    shares += [[i] for i in share]
+                    continue
+                part = [_row(cfg, spec, runs[i], exc) for i in share]
+            for i, row in zip(share, part):
+                rows[i] = row
     return rows
 
 
@@ -231,10 +233,10 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     dealt round-robin into min(jobs, runs) shares, and each worker runs
     its share in lockstep (``optimizers.lockstep``), with the results each
     run would have alone.  Rows come back in that order regardless of
-    ``jobs``.  A worker process that crashes breaks the pool and every
-    share still pending on it; each run of those shares runs once more on
-    a fresh pool of its own, and one that crashes again stays failed, with
-    the reason.
+    ``jobs``.  Each share runs on a one-worker pool of its own, so a
+    worker process that crashes loses only its own share; each run of that
+    share runs once more on a pool of its own, and one that crashes again
+    stays failed, with the reason.
     """
     require_jobs(jobs)
     cfg, spec = plan.mechanism, plan.objective
@@ -244,20 +246,10 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
         for b in plan.iteration_budgets
         for r in range(plan.repeats)
     ]
-    # a fork pool starts all its workers at once: no more than it has shares
     workers = min(jobs, len(runs))
     if workers == 1:
         return _execute_share(cfg, spec, runs)
-    shares = [runs[w::workers] for w in range(workers)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_execute_share, cfg, spec, share) for share in shares]
-        parts = [_collect(f, cfg, spec, share) for f, share in zip(futures, shares)]
-    lost = [w for w, f in enumerate(futures) if isinstance(f.exception(), BrokenProcessPool)]
-    rerun = iter(_run_alone(cfg, spec, [run for w in lost for run in shares[w]], jobs))
-    rows = [None] * len(runs)
-    for w, part in enumerate(parts):
-        rows[w::workers] = [next(rerun) for _ in part] if w in lost else part
-    return rows
+    return _run_pooled(cfg, spec, runs, [range(w, len(runs), workers) for w in range(workers)], jobs)
 
 
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:

@@ -65,7 +65,10 @@ def _prepare_outputs(out_dir: str, names: list[str], force: bool) -> dict[str, P
     """Create the output directory and refuse to clobber existing files
     unless --force was given."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"--out: cannot create directory {out_dir}: {exc.strerror}") from None
     targets = {name: out / name for name in names}
     if not force:
         existing = [str(p) for p in targets.values() if p.exists()]
@@ -125,6 +128,8 @@ def cmd_calibrate(args) -> int:
     config = _load_config(args.config)
     if args.write_config and os.path.exists(args.write_config):
         raise CliError(f"refusing to overwrite existing output: {args.write_config}")
+    if args.write_config and not Path(args.write_config).parent.is_dir():
+        raise CliError(f"--write-config: no such directory: {Path(args.write_config).parent}")
     with _flags(n_random="--samples", fraction="--fraction", seed="--seed"):
         c1_max, c2_max = calibrate_bounds(
             config.mechanism,

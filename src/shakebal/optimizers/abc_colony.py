@@ -14,6 +14,7 @@ exceeds ``limit`` is abandoned and re-seeded uniformly in the box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,8 +105,9 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
     they stand, in one batch.  It then walks the moves in order as the
     sequential algorithm does: each move's candidate is rebuilt from the
     current sources, and one that an earlier move of the phase changed is
-    scored on its own.  So every value is recorded in move order, and the
-    run is bit for bit the sequential one.
+    scored on its own and replaces its guess.  The phase's values are then
+    recorded in one ``record`` call, in move order, so the run is bit for
+    bit the sequential one.
     """
     sn, d = params.food_sources, bounds.dimension
     lower, upper = bounds.lower, bounds.upper
@@ -125,18 +127,22 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
         xj = x[sources, j]
         guesses = x[sources]
         guesses[np.arange(sn), j] = np.clip(xj + phi * (xj - x[k, j]), lower[j], upper[j])
-        values = yield guesses
+        values = (yield guesses).tolist()
         moves = zip(sources.tolist(), j.tolist(), k.tolist(), phi.tolist())
-        for (i, j, k, phi), guess, value in zip(moves, guesses, values.tolist()):
+        for m, (i, j, k, phi) in enumerate(moves):
             v = x[i].copy()
             v[j] = min(max(x[i, j] + phi * (x[i, j] - x[k, j]), lower[j]), upper[j])
-            fv = tracked.tell(v, value) if v.tobytes() == guess.tobytes() else tracked(v)
-            if fv < f[i]:
+            if v.tobytes() != guesses[m].tobytes():
+                guesses[m], values[m] = v, float(tracked.fn(v))
+            if not math.isfinite(values[m]):
+                break  # the record below raises at this move
+            if values[m] < f[i]:
                 x[i] = v
-                f[i] = fv
+                f[i] = values[m]
                 trials[i] = 0
             else:
                 trials[i] += 1
+        tracked.record(guesses, np.array(values))
 
     for _ in range(params.iterations):
         yield from phase(np.arange(sn))

@@ -180,22 +180,15 @@ class TrackedObjective:
         self.step_start = time.perf_counter()
 
     def __call__(self, x: np.ndarray) -> float:
-        return self.tell(x, float(self.fn(x)))
-
-    def tell(self, x: np.ndarray, value: float) -> float:
-        """Record the value of the point x."""
-        if not math.isfinite(value):
-            raise NonFiniteObjectiveError(x, value)
-        self.evaluations += 1
-        if value < self.best_f:
-            self.best_f = value
-            self.best_x = np.array(x, dtype=float)
-        return value
+        """Score the point x and record it as a one-row ``record``."""
+        return float(self.record(np.array(x, dtype=float, ndmin=2), np.array([float(self.fn(x))]))[0])
 
     def record(self, X: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Record the values of the rows of X (N, d), taken in row order:
-        the counts, the incumbent and the non-finite error are those of
-        ``tell`` on each row in turn."""
+        each finite value counts one evaluation, the incumbent moves on the
+        first strict improvement, and the first non-finite value raises
+        NonFiniteObjectiveError naming its row, after the rows before it
+        are recorded."""
         finite = np.isfinite(values)
         n_ok = values.size if finite.all() else int(np.argmin(finite))
         self.evaluations += n_ok

@@ -3,7 +3,8 @@
 Everything here is written directly from the printed force/moment sums and
 shares no code with the package: scalar math for the term-by-term profile
 checks, and a high-resolution trapezoid integration for the cost check.
-``breed_oracle`` is the GA's breeding operator as a plain per-pair loop.
+``breed_oracle`` is the GA's breeding operator as a plain per-pair loop,
+and ``abc_oracle`` the bee colony as a plain per-move loop.
 
 The scalar oracles are accurate to ~1e-13 relative, well inside the 1e-12
 that the profile checks ask of the package: each angle sum theta + phi is
@@ -216,3 +217,60 @@ def breed_oracle(rng: np.random.Generator, parents: np.ndarray, probs: np.ndarra
         child_b ^= rng.random(length) < p_mut
         children += [child_a, child_b][: count - len(children)]
     return np.array(children, dtype=bool).reshape(count, length)
+
+
+def abc_oracle(objective, lower: np.ndarray, upper: np.ndarray, params, seed: int) -> dict:
+    """The bee colony one move at a time: per move, rng.integers(d),
+    rng.integers(SN - 1) and rng.uniform(-1, 1), then one objective call.
+    Returns best_f, best_x (the first strict improvement), the trace and
+    the evaluation count; a non-finite value raises FloatingPointError with
+    its point as the only argument."""
+    sn, d = params.food_sources, lower.size
+    width = upper - lower
+
+    def stream(path: int) -> np.random.Generator:
+        return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(path,))))
+
+    rng_init, rng = stream(0), stream(1)
+    run = {"best_f": np.inf, "best_x": None, "trace": [], "evaluations": 0}
+
+    def call(x: np.ndarray) -> float:
+        value = float(objective(x))
+        if not np.isfinite(value):
+            raise FloatingPointError(x.copy())
+        run["evaluations"] += 1
+        if value < run["best_f"]:
+            run["best_f"], run["best_x"] = value, x.copy()
+        return value
+
+    x = lower + rng_init.random((sn, d)) * width
+    f = np.array([call(xi) for xi in x])
+    trials = [0] * sn
+    run["trace"].append(run["best_f"])
+
+    def move(i: int) -> None:
+        j = int(rng.integers(d))
+        k = int(rng.integers(sn - 1))
+        k += k >= i
+        phi = rng.uniform(-1.0, 1.0)
+        v = x[i].copy()
+        v[j] = min(max(x[i, j] + phi * (x[i, j] - x[k, j]), lower[j]), upper[j])
+        fv = call(v)
+        if fv < f[i]:
+            x[i], f[i], trials[i] = v, fv, 0
+        else:
+            trials[i] += 1
+
+    for _ in range(params.iterations):
+        for i in range(sn):
+            move(i)
+        fitness = np.array([1.0 / (1.0 + fi) if fi >= 0 else 1.0 + abs(fi) for fi in f])
+        for i in rng.choice(sn, size=sn, p=fitness / fitness.sum()):
+            move(int(i))
+        for i in range(sn):
+            if trials[i] > params.limit:
+                x[i] = lower + rng.random(d) * width
+                f[i] = call(x[i])
+                trials[i] = 0
+        run["trace"].append(run["best_f"])
+    return run

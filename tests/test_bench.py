@@ -151,7 +151,7 @@ def test_the_pool_has_no_more_workers_than_tasks(monkeypatch):
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
     rows = run_plan(tiny_plan(), jobs=10**6)
-    assert sizes == [4]  # 4 runs, dealt into 4 shares of 1 run
+    assert sizes == [1, 1, 1, 1]  # 4 runs, dealt into 4 shares of 1 run
     assert [r.status for r in rows] == ["ok"] * 4
 
 
@@ -212,6 +212,33 @@ def test_worker_crash_fails_only_its_own_run(tmp_path, monkeypatch):
     write_results(rows[1:], tmp_path / "parallel.csv")
     write_results(serial[1:], tmp_path / "serial.csv")
     assert results_equal_modulo_time(tmp_path / "serial.csv", tmp_path / "parallel.csv")
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched optimizer reaches the workers only through fork",
+)
+def test_worker_crash_reruns_only_its_own_share(monkeypatch):
+    sizes = []
+
+    class CountedPool(bench.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers)
+
+    pso = STEPS["pso"]
+
+    def crash_on_seed_1(tracked, bounds, params, seed):
+        if seed == 1:
+            os._exit(3)
+        return pso(tracked, bounds, params, seed)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setitem(STEPS, "pso", crash_on_seed_1)
+    rows = run_plan(tiny_plan(algorithms=("pso",), repeats=4), jobs=2)
+    assert [r.status for r in rows] == ["failed", "ok", "ok", "ok"]
+    # shares {1, 3} and {2, 4}: only seeds 1 and 3 rerun, each on its own pool
+    assert sizes == [1, 1, 1, 1]
 
 
 def test_failed_run_records_its_reason(tmp_path):

@@ -310,6 +310,33 @@ def test_calibrate_refuses_to_overwrite_its_config_copy(fast_cfg, tmp_path, caps
     assert existing.read_bytes() == before
 
 
+def test_calibrate_rejects_a_config_copy_in_a_missing_directory(fast_cfg, tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("calibrate sampled before checking its output path")
+
+    monkeypatch.setattr(cli, "calibrate_bounds", no_sampling)
+    target = tmp_path / "absent" / "x.cfg"
+    assert main(["calibrate", "--config", fast_cfg, "--write-config", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --write-config: no such directory: {target.parent}\n"
+
+
+@pytest.mark.parametrize("command", [["balance", "--iters", "2"], ["bench", "--jobs", "1"], ["profile"]])
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_an_out_that_cannot_be_a_directory_exits_1(fast_cfg, tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("")
+    argv = command + ["--config", fast_cfg, "--out", str(tmp_path / out)]
+    if command == ["profile"]:
+        solutions = tmp_path / "solutions.csv"
+        solutions.write_text("name,m1,m2,phi1,phi2\nzero,0,0,0,0\n")
+        argv += ["--solutions", str(solutions)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out: cannot create directory {tmp_path / out}: ")
+    assert err.count("\n") == 1
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "shakebal", "--help"], capture_output=True, text=True

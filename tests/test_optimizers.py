@@ -36,7 +36,7 @@ from shakebal.optimizers.bga import breed, rank_probabilities
 from shakebal.optimizers.common import TrackedObjective, score
 from shakebal.testfns import hypercube_bounds, rastrigin, sphere
 
-from _oracles import breed_oracle
+from _oracles import abc_oracle, breed_oracle
 
 BOX = hypercube_bounds(4)
 
@@ -345,6 +345,58 @@ def test_batched_objective_gives_the_scalar_run(name):
     assert np.array_equal(batched.best_x, scalar.best_x)
     assert np.array_equal(batched.trace, scalar.trace)
     assert batched.evaluations == scalar.evaluations
+
+
+@pytest.mark.parametrize("problem", ["sphere", "default"])
+def test_abc_is_the_sequential_colony(problem):
+    if problem == "sphere":
+        objective, bounds = sphere, BOX
+    else:
+        spec = ObjectiveSpec()
+        objective, bounds = make_objective(MechanismConfig(), spec), spec.bounds
+    params = AbcParams(food_sources=6, iterations=40, limit=3)  # scouts fire
+    for seed in (1, 2, 3):
+        result = optimize_abc(objective, bounds, params, seed)
+        oracle = abc_oracle(objective, bounds.lower, bounds.upper, params, seed)
+        assert result.best_f == oracle["best_f"]
+        assert np.array_equal(result.best_x, oracle["best_x"])
+        assert np.array_equal(result.trace, oracle["trace"])
+        assert result.evaluations == oracle["evaluations"] > 6 * (1 + 2 * 40)
+
+
+class ScalarNan:
+    """sphere in batches, and nan from the scalar call: in an ABC run
+    without scouts, only a move that an earlier move of its phase changed
+    sees the nan."""
+
+    def __init__(self):
+        self.points = []
+
+    def __call__(self, x):
+        self.points.append(np.array(x))
+        return np.nan
+
+    def batch(self, X):
+        return np.array([sphere(x) for x in X])
+
+
+def test_abc_names_the_non_finite_value_of_a_stale_move():
+    objective = ScalarNan()
+    params = AbcParams(food_sources=6, iterations=5)  # limit 100: no scout
+    with pytest.raises(NonFiniteObjectiveError) as err:
+        optimize_abc(objective, BOX, params, seed=1)
+    # the walk stops at the first non-finite value, as the sequential one does
+    (first,) = objective.points
+    assert err.value.point.tolist() == first.tolist()
+    assert np.isnan(err.value.value)
+
+    def poisoned(x):
+        return np.nan if np.array_equal(x, first) else sphere(x)
+
+    # the sequential colony meets the nan at the same point
+    with pytest.raises(FloatingPointError) as sequential:
+        abc_oracle(poisoned, BOX.lower, BOX.upper, params, seed=1)
+    assert sequential.value.args[0].tolist() == first.tolist()
 
 
 # ----------------------------------------------------------------------
