@@ -54,6 +54,12 @@ def fitness_from_cost(cost: float) -> float:
     return 1.0 / (1.0 + cost) if cost >= 0 else 1.0 + abs(cost)
 
 
+def colony_fitness(costs: np.ndarray) -> np.ndarray:
+    """fitness_from_cost of each cost in one pass; 1 + |f| never divides by 0."""
+    shifted = 1.0 + np.abs(costs)
+    return np.where(costs >= 0, 1.0 / shifted, shifted)
+
+
 def selection_probabilities(fitness: np.ndarray) -> np.ndarray:
     """Normalize fitness values to onlooker probabilities P_i = fit_i / sum(fit)."""
     fitness = np.asarray(fitness, dtype=float)
@@ -70,7 +76,7 @@ def move_draws(rng: np.random.Generator, count: int, d: int, partners: int) -> t
 
     Generator.integers maps a 32-bit half of a 64-bit Philox word through
     Lemire's bounded multiply (low half first), and uniform takes a whole
-    word.  So a move takes two words, and the phase draws them at once.
+    word.  So a move takes two words, and one call draws a whole phase's.
     When the generator holds a spare half word, a bound is 1 (no draw), or
     a multiply falls in Lemire's rejection zone (odds below bound / 2**32
     per draw), the stream is rewound and the calls are made one by one."""
@@ -92,22 +98,24 @@ def move_draws(rng: np.random.Generator, count: int, d: int, partners: int) -> t
 
 def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed: int):
     """Minimize the objective over ``bounds`` with an artificial bee
-    colony: a generator that yields the initial sources, then the
-    candidates of each phase, and returns the RunResult
+    colony: a generator that yields the initial sources, then each
+    iteration's candidates, and returns the RunResult
     (``common.lockstep``).  ``optimize_abc(objective, bounds, params,
     seed)`` runs it alone.
 
     Per iteration the draw order is fixed: employed moves for sources
-    0..SN-1 (each drawing dimension, partner, phi), then the SN onlooker
-    picks in one batch followed by their moves, then scout re-seeds.  No
-    draw of a phase depends on a move's outcome, so a phase draws all its
-    moves first and asks for their candidates, built from the sources as
-    they stand, in one batch.  It then walks the moves in order as the
-    sequential algorithm does: each move's candidate is rebuilt from the
-    current sources, and one that an earlier move of the phase changed is
-    scored on its own and replaces its guess.  The phase's values are then
-    recorded in one ``record`` call, in move order, so the run is bit for
-    bit the sequential one.
+    0..SN-1 (each drawing dimension, partner, phi), then the SN uniforms
+    that ``Generator.choice(SN, size=SN, p=probs)`` draws for the onlooker
+    picks, then their moves, then scout re-seeds.  No draw before the
+    scouts depends on a move's outcome, so an iteration draws them first
+    and asks for all 2*SN candidates in one batch, guessed from the sources
+    and the fitness at its start.  It then walks the employed moves and the
+    onlooker moves in order as the sequential algorithm does, the picks
+    taken from the fitness after the employed walk: each move's candidate
+    is rebuilt from the current sources, and one that differs from its
+    guess is scored on its own and replaces it.  Each phase is recorded in
+    one ``record`` call, in move order, so the run is bit for bit the
+    sequential one.
     """
     sn, d = params.food_sources, bounds.dimension
     lower, upper = bounds.lower, bounds.upper
@@ -120,16 +128,26 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
     trials = np.zeros(sn, dtype=int)
     tracked.checkpoint()
 
-    def phase(sources: np.ndarray):
-        """One move per entry of ``sources``, speculated as above."""
-        j, k, phi = move_draws(rng, sn, d, sn - 1)
-        k += k >= sources  # the partner is any source but the one that moves
+    def picks(uniforms: np.ndarray) -> np.ndarray:
+        """Generator.choice's picks from its uniforms, minus its checks of p."""
+        cdf = selection_probabilities(colony_fitness(f)).cumsum()
+        cdf /= cdf[-1]
+        return cdf.searchsorted(uniforms, side="right")
+
+    def candidates(sources: np.ndarray, draws: tuple) -> np.ndarray:
+        """The candidates of the moves of ``sources`` from x as it stands."""
+        j, k, phi = draws
+        k = k + (k >= sources)  # the partner is any source but the one that moves
         xj = x[sources, j]
-        guesses = x[sources]
-        guesses[np.arange(sn), j] = np.clip(xj + phi * (xj - x[k, j]), lower[j], upper[j])
-        values = (yield guesses).tolist()
-        moves = zip(sources.tolist(), j.tolist(), k.tolist(), phi.tolist())
-        for m, (i, j, k, phi) in enumerate(moves):
+        rows = x[sources]
+        rows[np.arange(sn), j] = np.clip(xj + phi * (xj - x[k, j]), lower[j], upper[j])
+        return rows
+
+    def walk(sources: np.ndarray, draws: tuple, guesses: np.ndarray, values: np.ndarray) -> None:
+        """Apply a phase's moves in order, as described above, and record it."""
+        values = values.tolist()
+        for m, (i, j, k, phi) in enumerate(zip(sources.tolist(), *(a.tolist() for a in draws))):
+            k += k >= i
             v = x[i].copy()
             v[j] = min(max(x[i, j] + phi * (x[i, j] - x[k, j]), lower[j]), upper[j])
             if v.tobytes() != guesses[m].tobytes():
@@ -144,18 +162,20 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
                 trials[i] += 1
         tracked.record(guesses, np.array(values))
 
+    employed = np.arange(sn)
     for _ in range(params.iterations):
-        yield from phase(np.arange(sn))
+        moves = move_draws(rng, sn, d, sn - 1)
+        uniforms = rng.random(sn)
+        onlooker_moves = move_draws(rng, sn, d, sn - 1)
+        X = np.concatenate([candidates(employed, moves), candidates(picks(uniforms), onlooker_moves)])
+        values = yield X
+        walk(employed, moves, X[:sn], values[:sn])
+        walk(picks(uniforms), onlooker_moves, X[sn:], values[sn:])
 
-        probs = selection_probabilities(np.array([fitness_from_cost(fi) for fi in f]))
-        picks = rng.choice(sn, size=sn, p=probs)
-        yield from phase(picks)
-
-        for i in range(sn):
-            if trials[i] > params.limit:
-                x[i] = bounds.lerp(rng.random(d))
-                f[i] = tracked(x[i])
-                trials[i] = 0
+        for i in np.flatnonzero(trials > params.limit):
+            x[i] = bounds.lerp(rng.random(d))
+            f[i] = tracked(x[i])
+            trials[i] = 0
 
         tracked.checkpoint()
 

@@ -14,6 +14,7 @@ from shakebal.objective import ObjectiveSpec, make_objective
 from shakebal.optimizers import (
     STEPS,
     AbcParams,
+    Bounds,
     BgaParams,
     HgapsoParams,
     NonFiniteObjectiveError,
@@ -31,7 +32,7 @@ from shakebal.optimizers import (
     selection_probabilities,
     substream,
 )
-from shakebal.optimizers.abc_colony import move_draws
+from shakebal.optimizers.abc_colony import colony_fitness, move_draws
 from shakebal.optimizers.bga import breed, rank_probabilities
 from shakebal.optimizers.common import TrackedObjective, score
 from shakebal.testfns import hypercube_bounds, rastrigin, sphere
@@ -83,6 +84,14 @@ def test_fitness_transform():
     assert fitness_from_cost(0.0) == 1.0
     assert fitness_from_cost(3.0) == 0.25
     assert fitness_from_cost(-2.0) == 3.0
+
+
+def test_colony_fitness_is_fitness_from_cost_per_cost():
+    # run with -W error: a cost of -1 must not divide by zero
+    rng = np.random.default_rng(0)
+    costs = np.concatenate([[-1.0, -0.0, 0.0, -2.0, 3.0, 1e-300, -1e300], rng.normal(0.0, 10.0, 200)])
+    expected = np.array([fitness_from_cost(c) for c in costs])
+    assert colony_fitness(costs).tobytes() == expected.tobytes()
 
 
 def test_scout_formula_endpoints():
@@ -338,9 +347,9 @@ def test_batched_objective_gives_the_scalar_run(name):
     counted = CountedBatches(objective)
     batched = optimize(counted, spec.bounds, params, seed=7)
     scalar = optimize(lambda x: objective(x), spec.bounds, params, seed=7)
-    # one call per generation, and for ABC one per phase (its scouts, and
-    # moves that an earlier move of the phase changed, score one by one)
-    assert counted.batches == (2 if name == "abc" else 1) * params.iterations + 1
+    # one call per generation, and for ABC one per iteration (its scouts,
+    # and moves whose candidate differs from the guess, score one by one)
+    assert counted.batches == params.iterations + 1
     assert batched.best_f == scalar.best_f
     assert np.array_equal(batched.best_x, scalar.best_x)
     assert np.array_equal(batched.trace, scalar.trace)
@@ -364,9 +373,53 @@ def test_abc_is_the_sequential_colony(problem):
         assert result.evaluations == oracle["evaluations"] > 6 * (1 + 2 * 40)
 
 
+class AskedBatches(CountedBatches):
+    """CountedBatches that also keeps a copy of each population it scores."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.asked = []
+
+    def batch(self, X):
+        self.asked.append(np.array(X))
+        return super().batch(X)
+
+
+@pytest.mark.parametrize("problem", ["sphere", "default"])
+def test_abc_records_the_sequential_colonys_points(problem, monkeypatch):
+    if problem == "sphere":
+        # off the optimum, employed moves often succeed, so many onlooker
+        # candidates guessed before the employed walk go stale
+        objective, bounds = sphere, Bounds(np.ones(4), np.full(4, 2.0))
+    else:
+        spec = ObjectiveSpec()
+        objective, bounds = make_objective(MechanismConfig(), spec), spec.bounds
+    records = []
+    record = TrackedObjective.record
+
+    def capture(self, X, values):
+        records.append(np.array(X))
+        return record(self, X, values)
+
+    monkeypatch.setattr(TrackedObjective, "record", capture)
+    params = AbcParams(food_sources=6, iterations=40, limit=3)  # scouts fire
+    for seed in (1, 2, 3):
+        records.clear()
+        asked = AskedBatches(objective)
+        optimize_abc(asked, bounds, params, seed)
+        scored = []
+        abc_oracle(lambda x: scored.append(np.array(x)) or objective(x), bounds.lower, bounds.upper, params, seed)
+        assert np.array_equal(np.concatenate(records), scored)
+        # the onlooker records against the guesses asked for them
+        phases = [X for X in records if len(X) == params.food_sources]
+        guesses = [X[params.food_sources:] for X in asked.asked[1:]]
+        stale = sum((X != G).any(axis=1).sum() for X, G in zip(phases[2::2], guesses, strict=True))
+        assert stale >= len(guesses) * params.food_sources // 10
+
+
 class ScalarNan:
     """sphere in batches, and nan from the scalar call: in an ABC run
-    without scouts, only a move that an earlier move of its phase changed
+    without scouts, only a move whose candidate differs from its guess
     sees the nan."""
 
     def __init__(self):
@@ -415,7 +468,7 @@ def test_lockstep_cell_gives_the_single_runs(name):
     objective = CountedBatches(make_objective(MechanismConfig(), spec))
     cell = run_cell(objective, name, spec.bounds, params, (1, 2, 3))
     # one batch per round for the whole cell
-    assert objective.batches == (2 if name == "abc" else 1) * params.iterations + 1
+    assert objective.batches == params.iterations + 1
     for seed, together in zip((1, 2, 3), cell):
         alone = optimize(objective.fn, spec.bounds, params, seed)
         assert (together.algorithm, together.seed) == (name, seed)
@@ -437,8 +490,8 @@ def test_lockstep_mixing_the_algorithms_gives_the_single_runs():
         objective, [lambda tracked, r=r: STEPS[r[0]](tracked, spec.bounds, *r[1:]) for r in runs]
     )
     # one batch per round for every run: as many rounds as the longest
-    # run asks for (ABC asks twice per iteration)
-    assert objective.batches == 2 * 20 + 1
+    # run asks for (one per iteration, ABC too)
+    assert objective.batches == 20 + 1
     for (name, params, seed), result in zip(runs, together):
         alone = FAST[name][0](objective.fn, spec.bounds, params, seed)
         assert (result.algorithm, result.seed) == (name, seed)

@@ -9,8 +9,10 @@ Each NAME=SRC names a source tree: SRC is the directory that holds the
 - one ``batch`` call at 1, 25, 50 and 100 rows (``batch_ms``);
 - each algorithm's 300-iteration run on the default problem, per seed,
   at R = 1, 2 and 10 seeds (``run_s``), the R seeds in lockstep
-  (``optimizers.lockstep``), and the share of that run's wall time spent
-  in the objective (``objective_share``);
+  (``optimizers.lockstep``), the share of that run's wall time spent
+  in the objective (``objective_share``), and the number of ``batch``
+  calls the R seeds made (``rounds``), an exact count that repeats from
+  round to round;
 - ``shakebal bench`` on the default config, at ``--jobs 1`` and
   ``--jobs 2`` (``bench_s``).
 
@@ -49,11 +51,13 @@ LAYERS = (
 
 
 class Timed:
-    """An objective, with the seconds spent in its calls and batches summed."""
+    """An objective, with the seconds spent in its calls and batches summed
+    and its batches counted."""
 
     def __init__(self, fn):
         self.fn = fn
         self.seconds = 0.0
+        self.rounds = 0
 
     def __call__(self, x):
         start = time.perf_counter()
@@ -62,6 +66,7 @@ class Timed:
         return value
 
     def batch(self, X):
+        self.rounds += 1
         start = time.perf_counter()
         values = self.fn.batch(X)
         self.seconds += time.perf_counter() - start
@@ -113,6 +118,7 @@ def child(src: str, layer: str, round_index: int) -> dict:
     return {
         "run_s": {name: {args[1]: wall / count}},
         "objective_share": {name: {args[1]: timed.seconds / wall}},
+        "rounds": {name: {args[1]: timed.rounds}},
     }
 
 
