@@ -33,17 +33,7 @@ import numpy as np
 
 from .mechanism import DecisionVector, MechanismConfig, profile_arrays, theta_grid
 from .objective import ObjectiveSpec, evaluate, make_objective
-from .optimizers import (
-    ALGORITHM_NAMES,
-    OPTIMIZERS,
-    STEPS,
-    AbcParams,
-    BgaParams,
-    HgapsoParams,
-    PsoParams,
-    RunResult,
-    lockstep,
-)
+from .optimizers import ALGORITHM_NAMES, PARAMS, STEPS, RunResult, lockstep
 from .optimizers.bga import chromosome_length
 from .optimizers.common import require_finite, require_integers, require_seed
 
@@ -57,12 +47,7 @@ RUNTIME_HEADER = ["algorithm", "seed", "iteration", "cumulative_seconds"]
 
 
 def default_optimizer_params() -> dict:
-    return {
-        "pso": PsoParams(),
-        "abc": AbcParams(),
-        "bga": BgaParams(),
-        "hgapso": HgapsoParams(),
-    }
+    return {name: cls() for name, cls in PARAMS.items()}
 
 
 @dataclass
@@ -79,11 +64,11 @@ class BenchSettings:
         require_finite(self)
         require_integers(self)
         self.algorithms = tuple(self.algorithms)
-        unknown = [a for a in self.algorithms if a not in OPTIMIZERS]
+        unknown = [a for a in self.algorithms if a not in STEPS]
         if unknown:
             raise ValueError(
                 f"unknown algorithms {unknown}: algorithms contains unknown names;"
-                f" choose from {list(ALGORITHM_NAMES)}"
+                f" choose from {list(STEPS)}"
             )
         if not self.algorithms:
             raise ValueError("algorithms must be non-empty")
@@ -111,16 +96,15 @@ class ExperimentPlan(BenchSettings):
     def __post_init__(self) -> None:
         super().__post_init__()
         # an algorithm without an entry runs with its defaults
-        params = default_optimizer_params()
         for name, given in self.optimizer_params.items():
-            if name not in params:
+            if name not in PARAMS:
                 raise ValueError(f"optimizer_params names unknown algorithm {name!r}")
-            if not isinstance(given, type(params[name])):
+            if not isinstance(given, PARAMS[name]):
                 raise ValueError(
-                    f"optimizer_params[{name!r}] must be {type(params[name]).__name__}"
+                    f"optimizer_params[{name!r}] must be {PARAMS[name].__name__}"
                     f" (got {type(given).__name__})"
                 )
-        self.optimizer_params = params = {**params, **self.optimizer_params}
+        self.optimizer_params = params = {**default_optimizer_params(), **self.optimizer_params}
         # reject bga settings that no BGA or HGAPSO run could breed with
         for bga in (params["bga"], params["hgapso"].bga):
             chromosome_length(bga, self.objective.bounds.dimension)

@@ -182,10 +182,12 @@ def cmd_bench(args) -> int:
 
 
 def _read_solutions(path: str) -> list[tuple[str, DecisionVector]]:
-    """Named decision vectors from a CSV with header name,m1,m2,phi1,phi2."""
+    """Named decision vectors from a CSV with header name,m1,m2,phi1,phi2.  A
+    name heads a polar.csv column: it must be unique, non-empty, not "unbalanced"."""
     if not os.path.exists(path):
         raise CliError(f"solutions file not found: {path}")
     out: list[tuple[str, DecisionVector]] = []
+    faults = {"": "is empty", "unbalanced": "is reserved for the unbalanced profile"}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -203,7 +205,11 @@ def _read_solutions(path: str) -> list[tuple[str, DecisionVector]]:
                 dv = DecisionVector(*values)
             except (IndexError, ValueError) as exc:
                 raise CliError(f"{path}:{lineno}: bad solution row {rec} ({exc})") from None
-            out.append((rec[0].strip(), dv))
+            name = rec[0].strip()
+            if name in faults:
+                raise CliError(f"{path}:{lineno}: solution name {name!r} {faults[name]}")
+            faults[name] = f"repeats line {lineno}"
+            out.append((name, dv))
     return out
 
 

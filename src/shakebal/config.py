@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .bench import BenchSettings
 from .mechanism import MechanismConfig
 from .objective import ObjectiveSpec, default_search_bounds
-from .optimizers import AbcParams, BgaParams, Bounds, HgapsoParams, PsoParams
+from .optimizers import ALGORITHM_NAMES, AbcParams, BgaParams, Bounds, HgapsoParams, PsoParams
 from .optimizers.bga import chromosome_length
 
 
@@ -178,4 +178,4 @@ def parse_config(path) -> AppConfig:
 
 
 def optimizer_params_map(config: AppConfig) -> dict:
-    return {"pso": config.pso, "abc": config.abc, "bga": config.bga, "hgapso": config.hgapso}
+    return {name: getattr(config, name) for name in ALGORITHM_NAMES}

@@ -1,27 +1,36 @@
-"""Four seeded, bounded, derivative-free minimizers over one callback interface."""
+"""Four seeded, bounded, derivative-free minimizers over one callback interface.
 
-from .abc_colony import AbcParams, abc_steps, fitness_from_cost, optimize_abc, selection_probabilities
-from .bga import BgaParams, bga_steps, decode_bits, encode_point, optimize_bga
-from .common import Bounds, NonFiniteObjectiveError, RunResult, lockstep, substream
-from .hgapso import HgapsoParams, elite_count, hgapso_steps, optimize_hgapso
-from .pso import PsoParams, inertia_weight, optimize_pso, pso_steps
+The roster, ``STEPS`` and ``PARAMS``, is the one place that pairs a name
+with its generator and its params class; all else derives from it."""
 
-OPTIMIZERS = {
-    "pso": optimize_pso,
-    "abc": optimize_abc,
-    "bga": optimize_bga,
-    "hgapso": optimize_hgapso,
-}
+from functools import partial
 
-# the same algorithms as generators, for lockstep runs
+from .abc_colony import AbcParams, abc_steps, fitness_from_cost, selection_probabilities
+from .bga import BgaParams, bga_steps, decode_bits, encode_point
+from .common import Bounds, NonFiniteObjectiveError, RunResult, lockstep, single_run, substream
+from .hgapso import HgapsoParams, elite_count, hgapso_steps
+from .pso import PsoParams, inertia_weight, pso_steps
+
+# name -> generator, for lockstep runs
 STEPS = {
     "pso": pso_steps,
     "abc": abc_steps,
     "bga": bga_steps,
     "hgapso": hgapso_steps,
 }
+# name -> params class
+PARAMS = {
+    "pso": PsoParams,
+    "abc": AbcParams,
+    "bga": BgaParams,
+    "hgapso": HgapsoParams,
+}
 
-ALGORITHM_NAMES = tuple(OPTIMIZERS)
+ALGORITHM_NAMES = tuple(STEPS)
+
+# name -> one run, (objective, bounds, params, seed, *hooks) -> RunResult
+OPTIMIZERS = {name: partial(single_run, steps) for name, steps in STEPS.items()}
+optimize_pso, optimize_abc, optimize_bga, optimize_hgapso = OPTIMIZERS.values()
 
 __all__ = [
     "AbcParams",
@@ -31,6 +40,7 @@ __all__ = [
     "HgapsoParams",
     "NonFiniteObjectiveError",
     "OPTIMIZERS",
+    "PARAMS",
     "PsoParams",
     "RunResult",
     "STEPS",

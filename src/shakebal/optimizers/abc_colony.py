@@ -23,11 +23,10 @@ from .common import (
     INIT_STREAM,
     SEARCH_STREAM,
     Bounds,
-    RunResult,
     TrackedObjective,
     require_finite,
     require_integers,
-    single_run,
+    roulette,
     substream,
 )
 
@@ -129,10 +128,8 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
     tracked.checkpoint()
 
     def picks(uniforms: np.ndarray) -> np.ndarray:
-        """Generator.choice's picks from its uniforms, minus its checks of p."""
-        cdf = selection_probabilities(colony_fitness(f)).cumsum()
-        cdf /= cdf[-1]
-        return cdf.searchsorted(uniforms, side="right")
+        """The onlooker picks from their uniforms, on the fitness as it stands."""
+        return roulette(selection_probabilities(colony_fitness(f)), uniforms)
 
     def candidates(sources: np.ndarray, draws: tuple) -> np.ndarray:
         """The candidates of the moves of ``sources`` from x as it stands."""
@@ -180,9 +177,3 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
         tracked.checkpoint()
 
     return tracked.finish("abc", seed)
-
-
-def optimize_abc(objective, bounds: Bounds, params: AbcParams, seed: int) -> RunResult:
-    """Minimize ``objective`` over ``bounds`` with an artificial bee
-    colony: one run of :func:`abc_steps`."""
-    return single_run(abc_steps, objective, bounds, params, seed)

@@ -22,11 +22,10 @@ from .common import (
     INIT_STREAM,
     SEARCH_STREAM,
     Bounds,
-    RunResult,
     TrackedObjective,
     require_finite,
     require_integers,
-    single_run,
+    roulette,
     substream,
 )
 
@@ -136,11 +135,7 @@ def breed(
         if uniforms[i, 2] < params.crossover_prob:
             cuts[i] = rng.choice(cut_positions, size=params.crossover_points, replace=False)
         rng.random(out=flips[i])
-    # Generator.choice(n, size=2, p=probs) maps its uniforms exactly so,
-    # minus its per-call validation of p
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    a, b = parents[cdf.searchsorted(uniforms[:, :2], side="right")].transpose(1, 0, 2)
+    a, b = parents[roulette(probs, uniforms[:, :2])].transpose(1, 0, 2)
     # a bit lies in a swapped segment after an odd number of cuts at or before it
     swap = (np.arange(length) >= cuts[:, :, None]).sum(axis=1) % 2 == 1
     children = np.stack([np.where(swap, b, a), np.where(swap, a, b)], axis=1) ^ (flips < p_mut)
@@ -185,15 +180,3 @@ def bga_steps(
         tracked.checkpoint()
 
     return tracked.finish("bga", seed)
-
-
-def optimize_bga(
-    objective,
-    bounds: Bounds,
-    params: BgaParams,
-    seed: int,
-    init_points: np.ndarray | None = None,
-) -> RunResult:
-    """Minimize ``objective`` over ``bounds`` with the binary GA: one run
-    of :func:`bga_steps`."""
-    return single_run(bga_steps, objective, bounds, params, seed, init_points)

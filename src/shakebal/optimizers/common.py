@@ -74,6 +74,14 @@ def require_integers(obj) -> None:
             object.__setattr__(obj, f.name, ints[0] if f.type == "int" else ints)
 
 
+def roulette(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The indices that ``Generator.choice(len(probs), p=probs)`` picks
+    with these uniforms, minus its per-call checks of p."""
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(uniforms, side="right")
+
+
 class NonFiniteObjectiveError(RuntimeError):
     """The objective returned nan/inf; carries the offending point."""
 
@@ -285,10 +293,11 @@ def lockstep(objective, runs: list) -> list:
             tracks[i].seconds += per_row * len(X)
 
 
-def single_run(steps, objective, bounds: Bounds, params, seed: int, *hooks) -> RunResult:
-    """Run the optimizer generator ``steps`` alone on :func:`lockstep`:
-    its RunResult, or the exception that ended it, raised."""
-    (outcome,) = lockstep(objective, [lambda tracked: steps(tracked, bounds, params, seed, *hooks)])
+def single_run(steps, objective, bounds: Bounds, params, seed: int, *hooks, **kwhooks) -> RunResult:
+    """Run the optimizer generator ``steps`` alone on :func:`lockstep`, with
+    any testing hooks as given: its RunResult, or the exception that ended
+    it, raised."""
+    (outcome,) = lockstep(objective, [lambda tracked: steps(tracked, bounds, params, seed, *hooks, **kwhooks)])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome

@@ -30,11 +30,9 @@ from .common import (
     INIT_STREAM,
     SEARCH_STREAM,
     Bounds,
-    RunResult,
     TrackedObjective,
     require_finite,
     require_integers,
-    single_run,
     substream,
 )
 from .pso import PsoParams, inertia_weight, velocity
@@ -118,9 +116,3 @@ def hgapso_steps(tracked: TrackedObjective, bounds: Bounds, params: HgapsoParams
         tracked.checkpoint()
 
     return tracked.finish("hgapso", seed)
-
-
-def optimize_hgapso(objective, bounds: Bounds, params: HgapsoParams, seed: int) -> RunResult:
-    """Minimize ``objective`` over ``bounds`` with the GA/PSO hybrid: one
-    run of :func:`hgapso_steps`."""
-    return single_run(hgapso_steps, objective, bounds, params, seed)

@@ -28,11 +28,9 @@ from .common import (
     INIT_STREAM,
     SEARCH_STREAM,
     Bounds,
-    RunResult,
     TrackedObjective,
     require_finite,
     require_integers,
-    single_run,
     substream,
 )
 
@@ -127,16 +125,3 @@ def pso_steps(
         tracked.checkpoint()
 
     return tracked.finish("pso", seed)
-
-
-def optimize_pso(
-    objective,
-    bounds: Bounds,
-    params: PsoParams,
-    seed: int,
-    init_positions: np.ndarray | None = None,
-    init_velocities: np.ndarray | None = None,
-) -> RunResult:
-    """Minimize ``objective`` over ``bounds`` with a particle swarm: one
-    run of :func:`pso_steps`."""
-    return single_run(pso_steps, objective, bounds, params, seed, init_positions, init_velocities)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from shakebal import bench
+from shakebal import bench, optimizers
 from shakebal.bench import (
     CONVERGENCE_HEADER,
     RESULTS_HEADER,
@@ -109,6 +109,23 @@ def test_one_process_runs_the_plan_in_one_lockstep(monkeypatch):
     rows = run_plan(tiny_plan(iteration_budgets=(5, 10)), jobs=1)
     assert sizes == [2 * 2 * 2]
     assert [r.status for r in rows] == ["ok"] * 8
+
+
+def test_an_algorithm_is_added_by_its_roster_entry_alone(monkeypatch):
+    # a fifth entry in STEPS and PARAMS, and nowhere else, runs in a plan
+    monkeypatch.setitem(optimizers.STEPS, "pso2", STEPS["pso"])
+    monkeypatch.setitem(optimizers.PARAMS, "pso2", PsoParams)
+    pso, pso2 = (
+        run_plan(tiny_plan(algorithms=(a,), optimizer_params={a: TINY_PARAMS["pso"]}), jobs=1)
+        for a in ("pso", "pso2")
+    )
+    assert [r.algorithm for r in pso2] == ["pso2", "pso2"]
+    for a, b in zip(pso, pso2):
+        assert dataclasses.replace(b, algorithm="pso", wall_time_s=None, result=None) == dataclasses.replace(
+            a, wall_time_s=None, result=None
+        )
+        assert np.array_equal(a.result.trace, b.result.trace)
+        assert np.array_equal(a.result.best_x, b.result.best_x)
 
 
 @pytest.mark.parametrize("jobs", [2, 3])

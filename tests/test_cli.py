@@ -294,6 +294,25 @@ def test_profile_rejects_a_non_finite_solution(fast_cfg, tmp_path, capsys, row, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        ("unbalanced,0.2,0,0,0", "2: solution name 'unbalanced' is reserved for the unbalanced profile"),
+        ("a,0.2,0,0,0\n a ,0.1,0,0,0", "3: solution name 'a' repeats line 2"),
+        (",0.2,0,0,0", "2: solution name '' is empty"),
+    ],
+    ids=["reserved", "repeated", "empty"],
+)
+def test_profile_rejects_a_name_that_would_head_an_ambiguous_column(fast_cfg, tmp_path, capsys, rows, error):
+    solutions = tmp_path / "solutions.csv"
+    solutions.write_text(f"name,m1,m2,phi1,phi2\n{rows}\n")
+    out = tmp_path / "p"
+    assert main(["profile", "--config", fast_cfg, "--solutions", str(solutions),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {solutions}:{error}\n"
+    assert not out.exists()
+
+
 def test_calibrate_refuses_to_overwrite_its_config_copy(fast_cfg, tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("calibrate sampled before checking its output path")

@@ -4,14 +4,19 @@ for the four minimizers."""
 import dataclasses
 import re
 import time
+import typing
 
 import numpy as np
 import pytest
 
 from shakebal.bench import BenchSettings
+from shakebal.config import AppConfig
 from shakebal.mechanism import MechanismConfig
 from shakebal.objective import ObjectiveSpec, make_objective
 from shakebal.optimizers import (
+    ALGORITHM_NAMES,
+    OPTIMIZERS,
+    PARAMS,
     STEPS,
     AbcParams,
     Bounds,
@@ -47,6 +52,38 @@ FAST = dict(
     bga=(optimize_bga, BgaParams(population=20, iterations=40)),
     hgapso=(optimize_hgapso, HgapsoParams(population=20, iterations=40)),
 )
+
+
+# ----------------------------------------------------------------------
+# the roster
+# ----------------------------------------------------------------------
+
+def test_every_reader_of_the_roster_sees_the_same_algorithms():
+    hints = typing.get_type_hints(AppConfig)
+    sections = set(hints) - {"mechanism", "objective", "bench"}
+    assert set(OPTIMIZERS) == set(PARAMS) == set(ALGORITHM_NAMES) == sections == set(STEPS)
+    assert all(hints[name] is PARAMS[name] for name in sections)
+    named = [optimize_pso, optimize_abc, optimize_bga, optimize_hgapso]
+    assert named == [OPTIMIZERS[name] for name in ("pso", "abc", "bga", "hgapso")]
+
+
+def test_the_testing_hooks_pass_by_position_and_by_keyword():
+    points = BOX.lerp(substream(5).random((4, 4)))
+    velocities = np.zeros((4, 4))
+    pso = PsoParams(population=4, iterations=3)
+    bga = BgaParams(population=4, iterations=3)
+    runs = [
+        (optimize_pso(sphere, BOX, pso, 1, points, velocities),
+         optimize_pso(sphere, BOX, pso, seed=1, init_positions=points, init_velocities=velocities)),
+        (optimize_bga(sphere, BOX, bga, 1, points),
+         optimize_bga(sphere, BOX, bga, seed=1, init_points=points)),
+    ]
+    starts = [points, decode_bits(encode_point(points, BOX, bga.bits_per_variable), BOX, bga.bits_per_variable)]
+    for (by_position, by_keyword), start in zip(runs, starts):
+        # the first generation is the hook's points
+        assert by_position.trace[0] == min(sphere(x) for x in start)
+        assert np.array_equal(by_position.trace, by_keyword.trace)
+        assert np.array_equal(by_position.best_x, by_keyword.best_x)
 
 
 # ----------------------------------------------------------------------
