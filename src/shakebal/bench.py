@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mechanism import DecisionVector, MechanismConfig, profile_arrays, theta_grid
-from .objective import ObjectiveSpec, evaluate, make_objective
+from .objective import ObjectiveSpec, evaluate, make_objective, require_finite_cost
 from .optimizers import ALGORITHM_NAMES, PARAMS, STEPS, RunResult, lockstep
 from .optimizers.bga import chromosome_length
 from .optimizers.common import require_finite, require_integers, require_seed
@@ -108,6 +108,7 @@ class ExperimentPlan(BenchSettings):
         # reject bga settings that no BGA or HGAPSO run could breed with
         for bga in (params["bga"], params["hgapso"].bga):
             chromosome_length(bga, self.objective.bounds.dimension)
+        require_finite_cost(self.mechanism, self.objective)
 
 
 @dataclass

@@ -197,13 +197,15 @@ def _read_solutions(path: str) -> list[tuple[str, DecisionVector]]:
             if not rec or not "".join(rec).strip():
                 continue
             try:
-                values = [float(rec[1]), float(rec[2]), float(rec[3]), float(rec[4])]
+                if len(rec) != len(header):
+                    raise ValueError(f"expected {len(header)} fields, got {len(rec)}")
+                values = [float(v) for v in rec[1:]]
                 # checked as written: DecisionVector wraps an infinite angle to nan
                 for f, value in zip(dataclasses.fields(DecisionVector), values):
                     if not math.isfinite(value):
                         raise ValueError(f"{f.name} must be finite (got {value})")
                 dv = DecisionVector(*values)
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise CliError(f"{path}:{lineno}: bad solution row {rec} ({exc})") from None
             name = rec[0].strip()
             if name in faults:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from .bench import BenchSettings
 from .mechanism import MechanismConfig
-from .objective import ObjectiveSpec, default_search_bounds
+from .objective import ObjectiveSpec, default_search_bounds, require_finite_cost
 from .optimizers import ALGORITHM_NAMES, AbcParams, BgaParams, Bounds, HgapsoParams, PsoParams
 from .optimizers.bga import chromosome_length
 
@@ -159,7 +159,9 @@ def parse_config(path) -> AppConfig:
                 raise ValueError(f"{lo} must be <= {hi} (got {low} > {high})")
             lower.append(low)
             upper.append(high)
-        return ObjectiveSpec(bounds=Bounds(lower, upper), **kw)
+        spec = ObjectiveSpec(bounds=Bounds(lower, upper), **kw)
+        require_finite_cost(mechanism, spec)
+        return spec
 
     objective = build("objective", objective_spec)
     pso = build("pso", PsoParams)

@@ -23,8 +23,8 @@ The cost has two kernels with one result: a scalar one for single points
 for bit.  Both take the (m, phi) -> u map and the u-affine rows of
 ``HarmonicTable``, as ``calibrate_bounds`` does, and the cost assembly
 ``_assemble``; only their cut kernels differ.  Both stay, since one scalar
-call takes about 30 us and a 1-row ``batch`` 0.55 ms (2-vCPU x86-64,
-Python 3.11, numpy 2.4).
+call takes about 36.6 us and a 1-row ``batch`` 0.71 ms (``BENCH_15.json``:
+2-vCPU x86-64, Python 3.11, numpy 2.4).
 
 ``polar_area`` is the periodic rectangle rule for radii sampled on a grid,
 such as the plotted profiles of ``polar.csv``; the cost does not use it.
@@ -492,6 +492,39 @@ def make_objective(cfg: MechanismConfig, spec: ObjectiveSpec) -> GridEvaluator:
     callable on one point x -> penalized total, and ``.batch`` on a
     population."""
     return GridEvaluator(cfg, spec)
+
+
+def require_finite_cost(cfg: MechanismConfig, spec: ObjectiveSpec) -> tuple[float, float, float]:
+    """Bounds of (raw, C1, C2) over the search box of ``spec``; raises
+    ValueError when the penalized total they bound is not finite, that is
+    when the cost could overflow somewhere in the box.
+
+    There the counterweights add at most k_1 m1_max + k_2 m2_max to the
+    first-harmonic magnitude of each force row and a_1 k_1 m1_max +
+    (a_1 + a_2) k_2 m2_max to each moment row (``HarmonicTable``); Parseval
+    turns each row's bound into a bound on its area, and raw <= 2 (area of
+    p1 + area of p2).  Python floats, so an overflow is inf, not a warning.
+    """
+    table = cfg.table
+    (k_1, k_2), (arm_1, arm_2) = table.gains, table.arms
+    m_1, m_2 = map(float, spec.bounds.upper[:2])
+    force = k_1 * m_1 + k_2 * m_2
+    moment = arm_1 * k_1 * m_1 + arm_2 * k_2 * m_2
+
+    def area(row, reach):
+        return half_square_integral((math.hypot(row[0], row[1]) + reach, 0.0, *row[2:]))
+
+    b1, b2, b3, b4 = table.base
+    raw = 2.0 * (area(b1, force) + area(b2, force))
+    c1, c2 = area(b3, moment), area(b4, moment)
+    if not math.isfinite(raw + spec.penalty_weight * (c1 / spec.c1_max + c2 / spec.c2_max)):
+        raise ValueError(
+            f"c1_max = {spec.c1_max!r}, c2_max = {spec.c2_max!r} and penalty_weight ="
+            f" {spec.penalty_weight!r} can make the cost overflow in the search box up to"
+            f" m1_max = {m_1!r} and m2_max = {m_2!r}, where raw <= {raw:.4g}, C1 <= {c1:.4g}"
+            f" and C2 <= {c2:.4g}"
+        )
+    return raw, c1, c2
 
 
 def calibrate_bounds(

@@ -98,9 +98,9 @@ def move_draws(rng: np.random.Generator, count: int, d: int, partners: int) -> t
 def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed: int):
     """Minimize the objective over ``bounds`` with an artificial bee
     colony: a generator that yields the initial sources, then each
-    iteration's candidates, and returns the RunResult
-    (``common.lockstep``).  ``optimize_abc(objective, bounds, params,
-    seed)`` runs it alone.
+    iteration's candidates, and records their values, run by
+    ``common.lockstep``.  ``optimize_abc(objective, bounds, params, seed)``
+    runs it alone.
 
     Per iteration the draw order is fixed: employed moves for sources
     0..SN-1 (each drawing dimension, partner, phi), then the SN uniforms
@@ -125,7 +125,6 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
     x = bounds.lerp(rng_init.random((sn, d)))
     f = tracked.record(x, (yield x))
     trials = np.zeros(sn, dtype=int)
-    tracked.checkpoint()
 
     def picks(uniforms: np.ndarray) -> np.ndarray:
         """The onlooker picks from their uniforms, on the fitness as it stands."""
@@ -173,7 +172,3 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
             x[i] = bounds.lerp(rng.random(d))
             f[i] = tracked(x[i])
             trials[i] = 0
-
-        tracked.checkpoint()
-
-    return tracked.finish("abc", seed)

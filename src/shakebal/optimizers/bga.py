@@ -150,8 +150,8 @@ def bga_steps(
     init_points: np.ndarray | None = None,
 ):
     """Minimize the objective over ``bounds`` with the binary GA: a
-    generator that yields each decoded generation to score and returns the
-    RunResult (``common.lockstep``).  ``optimize_bga(objective, bounds,
+    generator that yields each decoded generation to score and records its
+    values, run by ``common.lockstep``.  ``optimize_bga(objective, bounds,
     params, seed)`` runs it alone.
 
     ``init_points`` (population, d) seeds the first generation through the
@@ -169,7 +169,6 @@ def bga_steps(
         bits = encode_point(np.asarray(init_points, dtype=float), bounds, nb).reshape(pop, length)
     points = decode_bits(bits, bounds, nb)
     costs = tracked.record(points, (yield points))
-    tracked.checkpoint()
 
     for _ in range(params.iterations):
         elites = bits[np.argsort(costs, kind="stable")[: params.elitism]]
@@ -177,6 +176,3 @@ def bga_steps(
         bits = np.concatenate([elites, children])
         points = decode_bits(bits, bounds, nb)
         costs = tracked.record(points, (yield points))
-        tracked.checkpoint()
-
-    return tracked.finish("bga", seed)

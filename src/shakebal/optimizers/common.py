@@ -12,9 +12,10 @@ row is one call.
 
 A run's record lives in one :class:`TrackedObjective`: the evaluation
 count, the incumbent, the best-so-far and timing traces and the seconds
-charged to the run.  An optimizer keeps only its update rule, calls
-``checkpoint()`` after the initial population and after each iteration,
-and returns ``finish()``.
+charged to the run.  An optimizer keeps only its update rule and
+``record``s its values; it asks once per iteration, after its initial
+population, so :func:`lockstep` closes an iteration each time the run
+takes its values, and makes the run's RunResult when it returns.
 
 Randomness comes from counter-based Philox streams derived per run and per
 phase, so a run is bit-for-bit reproducible from its seed, alone or in
@@ -145,11 +146,9 @@ class RunResult:
                 (length = iterations + 1, non-increasing)
     wall_time   seconds attributed to the run (see :func:`lockstep`)
     time_trace  seconds attributed to the run by the end of each iteration
-                (length = iterations, non-decreasing)
+                (length = iterations, non-decreasing, ending at wall_time)
     """
 
-    algorithm: str
-    seed: int
     best_x: np.ndarray
     best_f: float
     trace: np.ndarray
@@ -172,10 +171,10 @@ class TrackedObjective:
     keeps the incumbent (first strict improvement, in the order values are
     recorded), rejects non-finite values with a diagnostic naming the
     offending point, and collects the best-so-far and timing traces from
-    its checkpoints.  ``seconds`` is the time charged to the run before its
-    current step, which began at ``step_start``."""
+    its checkpoints.  ``seconds`` is the time charged to the run so far
+    (:func:`lockstep` adds it)."""
 
-    __slots__ = ("fn", "evaluations", "best_f", "best_x", "trace", "time_trace", "seconds", "step_start")
+    __slots__ = ("fn", "evaluations", "best_f", "best_x", "trace", "time_trace", "seconds")
 
     def __init__(self, fn):
         self.fn = fn
@@ -185,7 +184,6 @@ class TrackedObjective:
         self.trace: list[float] = []
         self.time_trace: list[float] = []
         self.seconds = 0.0
-        self.step_start = time.perf_counter()
 
     def __call__(self, x: np.ndarray) -> float:
         """Score the point x and record it as a one-row ``record``."""
@@ -209,26 +207,21 @@ class TrackedObjective:
             raise NonFiniteObjectiveError(X[n_ok], float(values[n_ok]))
         return values
 
-    def elapsed(self) -> float:
-        return self.seconds + (time.perf_counter() - self.step_start)
-
     def checkpoint(self) -> None:
         """Append the incumbent's value to the trace.  Every checkpoint but
         the first (taken after the initial population) ends an iteration
         and also records the seconds charged to the run so far."""
         if self.trace:
-            self.time_trace.append(self.elapsed())
+            self.time_trace.append(self.seconds)
         self.trace.append(self.best_f)
 
-    def finish(self, algorithm: str, seed: int) -> RunResult:
+    def finish(self) -> RunResult:
         return RunResult(
-            algorithm=algorithm,
-            seed=seed,
             best_x=np.array(self.best_x, dtype=float),
             best_f=self.best_f,
             trace=np.array(self.trace),
             evaluations=self.evaluations,
-            wall_time=self.elapsed(),
+            wall_time=self.seconds,
             time_trace=np.array(self.time_trace),
         )
 
@@ -257,11 +250,14 @@ def lockstep(objective, runs: list) -> list:
 
     Each entry of ``runs`` takes the run's :class:`TrackedObjective` and
     returns its generator.  A generator yields each population (N, d) it
-    wants scored, is sent the raw values, records them in its
-    TrackedObjective, and returns its RunResult.  Each round scores what
-    every live run asked for in one call (``score``).  Returns, per run,
-    its RunResult or the exception that ended it; one run's failure ends
-    only that run, and the others go on bit for bit as they would alone.
+    wants scored, once per iteration after its initial one, is sent the
+    raw values and records them in its TrackedObjective.  Each round
+    scores what every live run asked for in one call (``score``).  Each
+    step that takes a run's values ends an iteration, and checkpoints the
+    run; when the generator returns, its record becomes its RunResult.
+    Returns, per run, its RunResult or the exception that ended it; one
+    run's failure ends only that run, and the others go on bit for bit as
+    they would alone.
 
     Time is charged per run: the wall time of its own generator steps plus
     a share of each round's scoring, in proportion to its rows.  So the
@@ -274,16 +270,21 @@ def lockstep(objective, runs: list) -> list:
     while True:
         asks = {}
         for i, reply in replies.items():
-            tracks[i].step_start = time.perf_counter()
+            start = time.perf_counter()
             try:
                 if isinstance(reply, Exception):
                     raise reply
                 asks[i] = generators[i].send(reply)
-            except StopIteration as stop:
-                outcomes[i] = stop.value
+            except StopIteration:
+                pass
             except Exception as exc:
                 outcomes[i] = exc
-            tracks[i].seconds = tracks[i].elapsed()
+                continue
+            tracks[i].seconds += time.perf_counter() - start
+            if reply is not None:
+                tracks[i].checkpoint()
+            if i not in asks:
+                outcomes[i] = tracks[i].finish()
         if not asks:
             return outcomes
         start = time.perf_counter()

@@ -66,8 +66,8 @@ def elite_count(breeding_ratio: float, population: int) -> int:
 
 def hgapso_steps(tracked: TrackedObjective, bounds: Bounds, params: HgapsoParams, seed: int):
     """Minimize the objective over ``bounds`` with the GA/PSO hybrid: a
-    generator that yields each generation to score and returns the
-    RunResult (``common.lockstep``).  ``optimize_hgapso(objective, bounds,
+    generator that yields each generation to score and records its values,
+    run by ``common.lockstep``.  ``optimize_hgapso(objective, bounds,
     params, seed)`` runs it alone."""
     pop, d = params.population, bounds.dimension
     nb = params.bga.bits_per_variable
@@ -85,7 +85,6 @@ def hgapso_steps(tracked: TrackedObjective, bounds: Bounds, params: HgapsoParams
     f = tracked.record(x, (yield x))
     pbest_x = x.copy()
     pbest_f = f.copy()
-    tracked.checkpoint()
 
     for t in range(1, params.iterations + 1):
         w = inertia_weight(schedule, t)
@@ -113,6 +112,3 @@ def hgapso_steps(tracked: TrackedObjective, bounds: Bounds, params: HgapsoParams
         improved = f < pbest_f
         pbest_x[improved] = x[improved]
         pbest_f[improved] = f[improved]
-        tracked.checkpoint()
-
-    return tracked.finish("hgapso", seed)

@@ -82,8 +82,8 @@ def pso_steps(
     init_velocities: np.ndarray | None = None,
 ):
     """Minimize the objective over ``bounds`` with a particle swarm: a
-    generator that yields each swarm to score and returns the RunResult
-    (``common.lockstep``).  ``optimize_pso(objective, bounds, params,
+    generator that yields each swarm to score and records its values, run
+    by ``common.lockstep``.  ``optimize_pso(objective, bounds, params,
     seed)`` runs it alone.
 
     Positions and velocities are initialized uniformly at random (positions
@@ -109,7 +109,6 @@ def pso_steps(
     f = tracked.record(x, (yield x))
     pbest_x = x.copy()
     pbest_f = f.copy()
-    tracked.checkpoint()
 
     for t in range(1, params.iterations + 1):
         w = inertia_weight(params, t)
@@ -122,6 +121,3 @@ def pso_steps(
         improved = f < pbest_f
         pbest_x[improved] = x[improved]
         pbest_f[improved] = f[improved]
-        tracked.checkpoint()
-
-    return tracked.finish("pso", seed)

@@ -46,6 +46,13 @@ TINY_PARAMS = {
 }
 
 
+@pytest.fixture
+def unchecked_overflow(monkeypatch):
+    """Let a plan whose cost can overflow be built, which the load check
+    (``require_finite_cost``) refuses, so that its runs fail as they run."""
+    monkeypatch.setattr(bench, "require_finite_cost", lambda cfg, spec: None)
+
+
 def tiny_plan(**overrides) -> ExperimentPlan:
     fields = dict(
         algorithms=("pso", "abc"),
@@ -172,7 +179,7 @@ def test_the_pool_has_no_more_workers_than_tasks(monkeypatch):
     assert [r.status for r in rows] == ["ok"] * 4
 
 
-def test_failed_runs_stay_in_the_table():
+def test_failed_runs_stay_in_the_table(unchecked_overflow):
     plan = tiny_plan(
         algorithms=("pso",),
         repeats=2,
@@ -258,7 +265,13 @@ def test_worker_crash_reruns_only_its_own_share(monkeypatch):
     assert sizes == [1, 1, 1, 1]
 
 
-def test_failed_run_records_its_reason(tmp_path):
+def test_a_plan_whose_cost_can_overflow_is_rejected():
+    doomed = ObjectiveSpec(n_samples=64, penalty_weight=1e308, c1_max=1e-12, c2_max=1e-12)
+    with pytest.raises(ValueError, match="can make the cost overflow"):
+        tiny_plan(objective=doomed)
+
+
+def test_failed_run_records_its_reason(tmp_path, unchecked_overflow):
     plan = tiny_plan(
         algorithms=("pso",),
         repeats=1,
@@ -344,7 +357,7 @@ def test_results_bytes_are_pinned(tmp_path):
     )
 
 
-def test_every_results_column_round_trips(tmp_path):
+def test_every_results_column_round_trips(tmp_path, unchecked_overflow):
     doomed = ObjectiveSpec(n_samples=64, penalty_weight=1e308, c1_max=1e-12, c2_max=1e-12)
     failed = run_plan(tiny_plan(algorithms=("pso",), repeats=1, objective=doomed))
     rows = run_plan(tiny_plan()) + failed
@@ -410,9 +423,22 @@ def test_runtime_rows_and_monotonicity(tmp_path):
     assert all(b >= a for a, b in zip(seconds, seconds[1:]))
 
 
+def test_each_runs_last_runtime_row_is_its_wall_time(tmp_path):
+    rows = run_plan(tiny_plan(algorithms=tuple(TINY_PARAMS)))
+    write_results(rows, tmp_path / "results.csv")
+    emit_runtime_growth(rows, tmp_path / "runtime.csv")
+    with open(tmp_path / "results.csv", newline="") as fh:
+        walls = [(r["algorithm"], r["seed"], r["wall_time_s"]) for r in csv.DictReader(fh)]
+    with open(tmp_path / "runtime.csv", newline="") as fh:
+        # one budget: (algorithm, seed) names a run, and its rows end at its last iteration
+        last = {(r["algorithm"], r["seed"]): r["cumulative_seconds"] for r in csv.DictReader(fh)}
+    assert len(walls) == len(last) == 8
+    assert [(a, s, last[a, s]) for a, s, _ in walls] == walls
+
+
 def test_runtime_refuses_missing_checkpoints(tmp_path):
     result = RunResult(
-        algorithm="pso", seed=1, best_x=np.zeros(4), best_f=0.0,
+        best_x=np.zeros(4), best_f=0.0,
         trace=np.zeros(3), evaluations=10, wall_time=0.1, time_trace=np.empty(0),
     )
     rows = [ResultRow("pso", 2, 1, 1, status="ok", result=result)]

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from shakebal import cli, objective
+from shakebal import bench, cli, config, objective
 from shakebal.bench import parse_results
 from shakebal.cli import main
 
@@ -25,6 +25,14 @@ bench.algorithms = pso, abc
 bench.iteration_budgets = 10
 bench.repeats = 2
 """
+
+
+@pytest.fixture
+def unchecked_overflow(monkeypatch):
+    """Let a config whose cost can overflow load, which the load check
+    (``require_finite_cost``) refuses, so that its runs fail as they run."""
+    for module in (bench, config):
+        monkeypatch.setattr(module, "require_finite_cost", lambda cfg, spec: None)
 
 
 @pytest.fixture
@@ -194,7 +202,7 @@ def test_oversized_calibration_exits_1_before_the_draw(fast_cfg, capsys, monkeyp
     assert captured.err == "error: --samples: n_random must be <= 1048576 (got 1000000000)\n"
 
 
-def test_balance_failure_gives_the_reason(fast_cfg, tmp_path, capsys):
+def test_balance_failure_gives_the_reason(fast_cfg, tmp_path, capsys, unchecked_overflow):
     doomed = tmp_path / "doomed.cfg"
     doomed.write_text(FAST_CFG + "objective.penalty_weight = 1e308\nobjective.c1_max = 1e-12\n")
     assert main(["balance", "--config", str(doomed), "--out", str(tmp_path / "b")]) == 2
@@ -234,7 +242,18 @@ def test_bench_rejects_jobs_below_one_before_any_output(fast_cfg, tmp_path, caps
     assert not out.exists()
 
 
-def test_bench_says_why_each_run_failed(tmp_path, capsys):
+def test_bench_rejects_a_cost_that_can_overflow_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "doomed.cfg"
+    cfg.write_text(FAST_CFG + "objective.c1_max = 1e-320\n")
+    out = tmp_path / "b"
+    assert main(["bench", "--config", str(cfg), "--out", str(out), "--jobs", "1"]) == 1
+    lineno = FAST_CFG.count("\n") + 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {cfg}:{lineno}: objective.c1_max: c1_max = 1e-320, ")
+    assert not out.exists()
+
+
+def test_bench_says_why_each_run_failed(tmp_path, capsys, unchecked_overflow):
     cfg = tmp_path / "doomed.cfg"
     # every point is infeasible, and its penalty overflows to inf
     cfg.write_text(FAST_CFG + "objective.penalty_weight = 1e308\nobjective.c1_max = 1e-12\n")
@@ -291,6 +310,18 @@ def test_profile_rejects_a_non_finite_solution(fast_cfg, tmp_path, capsys, row, 
                  "--out", str(out)]) == 1
     rec = row.split(",")
     assert capsys.readouterr().err == f"error: {solutions}:3: bad solution row {rec} ({reason})\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row, count", [("a,0.1,0,0,0,junk", 6), ("a,0.1,0,0", 4)], ids=["long", "short"])
+def test_profile_rejects_a_row_without_five_fields(fast_cfg, tmp_path, capsys, row, count):
+    solutions = tmp_path / "solutions.csv"
+    solutions.write_text(f"name,m1,m2,phi1,phi2\n{row}\n")
+    out = tmp_path / "p"
+    assert main(["profile", "--config", fast_cfg, "--solutions", str(solutions),
+                 "--out", str(out)]) == 1
+    rec = row.split(",")
+    assert capsys.readouterr().err == f"error: {solutions}:2: bad solution row {rec} (expected 5 fields, got {count})\n"
     assert not out.exists()
 
 

@@ -244,6 +244,24 @@ def test_error_cites_the_first_key_its_message_names(tmp_path, text, error):
     assert str(err.value) == f"{path}{error}"
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("objective.n_samples = 64\nobjective.c1_max = 1e-320\n", ":2: objective.c1_max: c1_max = 1e-320,"),
+        ("objective.c2_max = 1e-300\n", ":1: objective.c2_max: c1_max = "),
+        ("objective.penalty_weight = 1e308\n", ":1: objective.penalty_weight: c1_max = "),
+        ("objective.m1_max = 1e200\n", ":1: objective.m1_max: c1_max = "),
+    ],
+    ids=["c1_max", "c2_max", "penalty_weight", "m1_max"],
+)
+def test_a_cost_that_can_overflow_is_rejected_at_its_line(tmp_path, text, key):
+    path = tmp_path / "test.cfg"
+    with pytest.raises(ConfigError) as err:
+        load(tmp_path, text)
+    assert str(err.value).startswith(f"{path}{key}")
+    assert "can make the cost overflow in the search box" in str(err.value)
+
+
 def _written(value) -> str:
     """A default as the file would spell it."""
     if isinstance(value, tuple):

@@ -19,6 +19,7 @@ from shakebal.objective import (
     evaluate,
     make_objective,
     polar_area,
+    require_finite_cost,
 )
 from shakebal.optimizers import Bounds, substream
 
@@ -285,6 +286,39 @@ def test_spec_rejects_non_finite_values_and_negative_mass_bounds():
         lower[j] = -1.0
         with pytest.raises(ValueError, match=name):
             ObjectiveSpec(bounds=Bounds(lower, box.upper))
+
+
+@pytest.mark.filterwarnings("error")
+def test_cost_bounds_hold_over_the_search_box():
+    rng = np.random.default_rng(11)
+    cfgs = [MechanismConfig()] + [
+        MechanismConfig(**{k: p[k] for k in CFG_KEYS}) for p in (random_params(rng) for _ in range(4))
+    ]
+    for cfg in cfgs:
+        spec = ObjectiveSpec(bounds=default_search_bounds(cfg))
+        bounds = require_finite_cost(cfg, spec)
+        # random points, and the heaviest counterweights at random phases
+        X = spec.bounds.lerp(rng.random((300, 4)))
+        X[:100, :2] = spec.bounds.upper[:2]
+        parts = [evaluate(cfg, DecisionVector.from_array(x), spec) for x in X]
+        sampled = [max(getattr(b, name) for b in parts) for name in ("raw_cost", "c1", "c2")]
+        assert all(s <= b for s, b in zip(sampled, bounds)), (sampled, bounds)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("c1_max, accepted", [(1e-290, True), (1e-300, False), (1e-320, False)])
+def test_a_spec_whose_cost_can_overflow_is_rejected(c1_max, accepted):
+    cfg = MechanismConfig()
+    spec = ObjectiveSpec(c1_max=c1_max)
+    values = make_objective(cfg, spec).batch(spec.bounds.lerp(substream(5, 0).random((200, 4))))
+    if accepted:
+        require_finite_cost(cfg, spec)
+        assert np.isfinite(values).all()
+    else:
+        message = rf"^c1_max = {c1_max!r}, c2_max = .* and penalty_weight = .* can make the cost overflow"
+        with pytest.raises(ValueError, match=message):
+            require_finite_cost(cfg, spec)
+        assert not np.isfinite(values).all()
 
 
 # ----------------------------------------------------------------------

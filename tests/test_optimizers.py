@@ -508,7 +508,6 @@ def test_lockstep_cell_gives_the_single_runs(name):
     assert objective.batches == params.iterations + 1
     for seed, together in zip((1, 2, 3), cell):
         alone = optimize(objective.fn, spec.bounds, params, seed)
-        assert (together.algorithm, together.seed) == (name, seed)
         assert together.best_f == alone.best_f
         assert np.array_equal(together.best_x, alone.best_x)
         assert np.array_equal(together.trace, alone.trace)
@@ -531,7 +530,6 @@ def test_lockstep_mixing_the_algorithms_gives_the_single_runs():
     assert objective.batches == 20 + 1
     for (name, params, seed), result in zip(runs, together):
         alone = FAST[name][0](objective.fn, spec.bounds, params, seed)
-        assert (result.algorithm, result.seed) == (name, seed)
         assert result.best_f == alone.best_f
         assert np.array_equal(result.best_x, alone.best_x)
         assert np.array_equal(result.trace, alone.trace)
@@ -598,6 +596,30 @@ def test_lockstep_time_adds_up_to_the_cell(name):
         assert len(result.time_trace) == params.iterations
         assert np.all(np.diff(result.time_trace) >= 0)
         assert 0 < result.time_trace[-1] <= result.wall_time
+
+
+def bare_run(tracked):
+    """A run with no bookkeeping of its own: three asks, each recorded."""
+    for value in (3.0, 1.0, 2.0):
+        X = np.full((2, 4), value)
+        tracked.record(X, (yield X))
+
+
+def test_lockstep_keeps_the_record_of_a_bare_run():
+    (result,) = lockstep(sphere, [bare_run])
+    assert result.trace.tolist() == [36.0, 4.0, 4.0]
+    assert result.best_x.tolist() == [1.0] * 4
+    assert result.evaluations == 6
+    assert len(result.time_trace) == 2
+    assert result.wall_time == result.time_trace[-1]
+
+
+@pytest.mark.parametrize("name", sorted(FAST))
+def test_a_runs_wall_time_is_its_last_checkpoint(name):
+    optimize, params = FAST[name]
+    result = optimize(sphere, BOX, params, 1)
+    assert len(result.trace) == params.iterations + 1
+    assert result.wall_time == result.time_trace[-1]
 
 
 def test_phase_draws_match_the_per_move_calls():
