@@ -24,9 +24,9 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import bench as bench_mod
-from .config import AppConfig, ConfigError, named_key, optimizer_params_map, parse_config
+from .config import AppConfig, ConfigError, named_key, optimizer_params_map, parse_config, read_assignments
 from .mechanism import DecisionVector, require_grid_size
-from .objective import calibrate_bounds
+from .objective import calibrate_bounds, require_finite_cost
 from .optimizers import ALGORITHM_NAMES
 from .optimizers.common import require_seed
 
@@ -138,16 +138,22 @@ def cmd_calibrate(args) -> int:
             fraction=args.fraction,
             seed=args.seed,
         )
+    try:  # the loader's checks of the pair: a bound it would refuse is not recommended
+        spec = dataclasses.replace(config.objective, c1_max=c1_max, c2_max=c2_max)
+        require_finite_cost(config.mechanism, spec)
+    except ValueError as exc:
+        raise CliError(f"the recommended bounds would not load: {exc}") from None
     print(f"c1_max       {c1_max!r}")
     print(f"c2_max       {c2_max!r}")
     if args.write_config:
         lines: list[str] = []
         if args.config:
+            dropped = {
+                line for (section, key), (_, line) in read_assignments(args.config).items()
+                if section == "objective" and key in ("c1_max", "c2_max")
+            }
             with open(args.config, encoding="utf-8") as fh:
-                for raw in fh:
-                    key = raw.split("#", 1)[0].split("=", 1)[0].strip()
-                    if key not in ("objective.c1_max", "objective.c2_max"):
-                        lines.append(raw.rstrip("\n"))
+                lines = [raw.rstrip("\n") for line, raw in enumerate(fh, start=1) if line not in dropped]
         lines.append(f"objective.c1_max = {c1_max!r}")
         lines.append(f"objective.c2_max = {c2_max!r}")
         Path(args.write_config).write_text("\n".join(lines) + "\n", encoding="utf-8")

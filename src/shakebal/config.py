@@ -97,7 +97,7 @@ def named_key(message: str, keys) -> str | None:
     return next((word for word in message.split() if word in keys), None)
 
 
-def _read_assignments(path) -> dict[tuple[str, str], tuple[object, int]]:
+def read_assignments(path) -> dict[tuple[str, str], tuple[object, int]]:
     """Parse the file into {(section, key): (value, line_number)}."""
     assignments: dict[tuple[str, str], tuple[object, int]] = {}
     with open(path, encoding="utf-8") as fh:
@@ -129,7 +129,7 @@ def _read_assignments(path) -> dict[tuple[str, str], tuple[object, int]]:
 
 def parse_config(path) -> AppConfig:
     """Load an AppConfig: documented defaults overridden by the file."""
-    assignments = _read_assignments(path)
+    assignments = read_assignments(path)
 
     def build(section: str, factory):
         """Construct one section from the keys the file sets in it."""

@@ -372,6 +372,31 @@ def test_calibrate_rejects_a_config_copy_in_a_missing_directory(fast_cfg, tmp_pa
     assert captured.err == f"error: --write-config: no such directory: {target.parent}\n"
 
 
+def test_calibrate_refuses_a_zero_bound_with_no_counterweight_mass(tmp_path, capsys):
+    # no crank or unbalance mass: the moment row p3 is 0, so is every C1
+    cfg = tmp_path / "massless.cfg"
+    cfg.write_text("mechanism.m_0 = 0\nmechanism.m_c = 0\n")
+    target = tmp_path / "calibrated.cfg"
+    argv = ["calibrate", "--config", str(cfg), "--samples", "200", "--write-config", str(target)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the recommended bounds would not load: c1_max must be > 0 (got 0.0)\n"
+    assert not target.exists()
+
+
+def test_calibrate_refuses_bounds_whose_cost_can_overflow(tmp_path, capsys):
+    target = tmp_path / "calibrated.cfg"
+    argv = ["calibrate", "--samples", "200", "--fraction", "1e-320", "--write-config", str(target)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: the recommended bounds would not load: c1_max = ")
+    assert "can make the cost overflow" in line
+    assert not target.exists()
+
+
 @pytest.mark.parametrize("command", [["balance", "--iters", "2"], ["bench", "--jobs", "1"], ["profile"]])
 @pytest.mark.parametrize("out", ["file", "file/sub"])
 def test_an_out_that_cannot_be_a_directory_exits_1(fast_cfg, tmp_path, capsys, command, out):

@@ -16,17 +16,22 @@ Each NAME=SRC names a source tree: SRC is the directory that holds the
 - ``shakebal bench`` on the default config, at ``--jobs 1`` and
   ``--jobs 2`` (``bench_s``).
 
-Each sub-layer runs in a short child process of its own, which imports
-shakebal from SRC, once per tree and round, and the tree that goes first
-alternates from one sub-layer to the next, so that a slow spell of the
-host falls on every tree alike.  Every figure
-written is the median over the rounds, with the samples beside it, and
-the file records the host: nproc, Python and numpy.
+Every tree is imported once into this process, as a package of its own
+(``load``), and the trees take turns so that a slow spell of the host
+falls on all of them alike: one cost call each at a time, and each run
+and bench once per round.  The tree that goes first alternates from one
+call, run or bench to the next, and from one round to the next.  Only
+``shakebal bench`` runs in a child process.
+Every figure written is the median over the rounds, with the samples
+beside it, and the file records the host: nproc, Python and numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib.util
+import itertools
 import json
 import os
 import platform
@@ -36,18 +41,14 @@ import sys
 import tempfile
 import time
 
+import numpy as np
+
 BATCH_ROWS = (1, 25, 50, 100)
 ALGORITHMS = ("pso", "abc", "bga", "hgapso")
 SEEDS = (1, 2, 10)
 ITERATIONS = 300
-SCALAR_CALLS = 2000
-BATCH_CALLS = 100
-LAYERS = (
-    ["scalar"]
-    + [f"batch {rows}" for rows in BATCH_ROWS]
-    + [f"run {name} {count}" for name in ALGORITHMS for count in SEEDS]
-    + [f"bench {jobs}" for jobs in (1, 2)]
-)
+SCALAR_CALLS = 2000  # per tree and round
+BATCH_CALLS = 400  # per tree, round and row count
 
 
 class Timed:
@@ -73,66 +74,74 @@ class Timed:
         return values
 
 
-def child(src: str, layer: str, round_index: int) -> dict:
-    """One in-process sub-layer, imported from ``src``: its figures, as a
-    fragment of the tree's record."""
-    sys.path.insert(0, src)
-    import dataclasses
+def load(package: str, src: str):
+    """The ``shakebal`` package of ``src``, imported as ``package``, so that
+    trees with the same module names live side by side in one process."""
+    root = os.path.join(src, "shakebal")
+    spec = importlib.util.spec_from_file_location(
+        package, os.path.join(root, "__init__.py"), submodule_search_locations=[root]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[package] = module
+    spec.loader.exec_module(module)
+    return module
 
-    import numpy as np
 
-    from shakebal import optimizers
-    from shakebal.bench import default_optimizer_params
-    from shakebal.mechanism import MechanismConfig
-    from shakebal.objective import ObjectiveSpec, make_objective
+def in_turn(names: list, turn: int) -> list:
+    """``names`` in order on even turns and reversed on odd ones."""
+    return names if turn % 2 == 0 else names[::-1]
 
-    spec = ObjectiveSpec()
-    objective = make_objective(MechanismConfig(), spec)
-    rng = np.random.default_rng(round_index)
-    points = spec.bounds.lerp(rng.random((SCALAR_CALLS, 4)))
-    kind, *args = layer.split()
 
-    if kind == "scalar":
+def cost_layers(trees: dict, round_index: int) -> dict:
+    """Each tree's ``scalar_us`` and ``batch_ms`` on its default problem,
+    the trees taking turns call by call."""
+    unit = np.random.default_rng(round_index).random((SCALAR_CALLS, 4))
+    names, problems = list(trees), {}
+    seconds = {name: dict.fromkeys(("scalar", *BATCH_ROWS), 0.0) for name in names}
+    for name, shakebal in trees.items():
+        spec = shakebal.objective.ObjectiveSpec()
+        objective = shakebal.objective.make_objective(shakebal.mechanism.MechanismConfig(), spec)
+        points = spec.bounds.lerp(unit)
         objective(points[0])
-        start = time.perf_counter()
-        for x in points:
+        for rows in BATCH_ROWS:
+            objective.batch(points[:rows])
+        problems[name] = objective, points
+    for i in range(SCALAR_CALLS):
+        for name in in_turn(names, i):
+            objective, points = problems[name]
+            x = points[i]
+            start = time.perf_counter()
             objective(x)
-        return {"scalar_us": 1e6 * (time.perf_counter() - start) / SCALAR_CALLS}
-
-    if kind == "batch":
-        X = points[:int(args[0])]
-        objective.batch(X)
-        start = time.perf_counter()
-        for _ in range(BATCH_CALLS):
-            objective.batch(X)
-        return {"batch_ms": {args[0]: 1e3 * (time.perf_counter() - start) / BATCH_CALLS}}
-
-    name, count = args[0], int(args[1])
-    params = dataclasses.replace(default_optimizer_params()[name], iterations=ITERATIONS)
-    steps = optimizers.STEPS[name]
-    seeds = [round_index * 100 + s for s in range(count)]
-    timed = Timed(objective)
-    start = time.perf_counter()
-    optimizers.lockstep(timed, [lambda t, s=s: steps(t, spec.bounds, params, s) for s in seeds])
-    wall = time.perf_counter() - start
+            seconds[name]["scalar"] += time.perf_counter() - start
+    for i in range(BATCH_CALLS):
+        for rows in BATCH_ROWS:
+            for name in in_turn(names, i):
+                objective, points = problems[name]
+                X = points[:rows]
+                start = time.perf_counter()
+                objective.batch(X)
+                seconds[name][rows] += time.perf_counter() - start
     return {
-        "run_s": {name: {args[1]: wall / count}},
-        "objective_share": {name: {args[1]: timed.seconds / wall}},
-        "rounds": {name: {args[1]: timed.rounds}},
+        name: {
+            "scalar_us": 1e6 * s["scalar"] / SCALAR_CALLS,
+            "batch_ms": {str(rows): 1e3 * s[rows] / BATCH_CALLS for rows in BATCH_ROWS},
+        }
+        for name, s in seconds.items()
     }
 
 
-def measure(src: str, layer: str, round_index: int) -> dict:
-    """The figures of one sub-layer of the tree ``src``, from a process of
-    its own."""
-    kind, *args = layer.split()
-    if kind == "bench":
-        return {"bench_s": {args[0]: bench_seconds(src, int(args[0]))}}
-    proc = subprocess.run(
-        [sys.executable, __file__, "--child", src, "--layer", layer, "--round", str(round_index)],
-        check=True, capture_output=True, text=True,
-    )
-    return json.loads(proc.stdout)
+def run_layer(shakebal, name: str, count: int, round_index: int) -> tuple:
+    """(seconds per seed, objective share, batch calls) of ``count`` seeds
+    of algorithm ``name`` in lockstep, 300 iterations each."""
+    spec = shakebal.objective.ObjectiveSpec()
+    timed = Timed(shakebal.objective.make_objective(shakebal.mechanism.MechanismConfig(), spec))
+    params = dataclasses.replace(shakebal.bench.default_optimizer_params()[name], iterations=ITERATIONS)
+    steps = shakebal.optimizers.STEPS[name]
+    seeds = [round_index * 100 + s for s in range(count)]
+    start = time.perf_counter()
+    shakebal.optimizers.lockstep(timed, [lambda t, s=s: steps(t, spec.bounds, params, s) for s in seeds])
+    wall = time.perf_counter() - start
+    return wall / count, timed.seconds / wall, timed.rounds
 
 
 def bench_seconds(src: str, jobs: int) -> float:
@@ -147,15 +156,6 @@ def bench_seconds(src: str, jobs: int) -> float:
         return time.perf_counter() - start
 
 
-def merge(record: dict, fragment: dict) -> None:
-    """Add a sub-layer's figures to a tree's record of one round."""
-    for key, value in fragment.items():
-        if isinstance(value, dict):
-            merge(record.setdefault(key, {}), value)
-        else:
-            record[key] = value
-
-
 def medians(samples: list):
     """The median of each leaf across a list of equally shaped dicts."""
     if isinstance(samples[0], dict):
@@ -168,36 +168,31 @@ def main() -> None:
     parser.add_argument("trees", nargs="*", metavar="NAME=SRC")
     parser.add_argument("--out", help="the JSON file to write (required)")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--child", help=argparse.SUPPRESS)
-    parser.add_argument("--layer", help=argparse.SUPPRESS)
-    parser.add_argument("--round", type=int, default=1, help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.child:
-        print(json.dumps(child(args.child, args.layer, args.round)))
-        return
     if not args.out or not args.trees or args.repeats < 1:
         parser.error("give --out, at least one NAME=SRC and --repeats >= 1")
-    trees = dict(tree.split("=", 1) for tree in args.trees)
-    trees = {name: os.path.abspath(src) for name, src in trees.items()}
+    srcs = {name: os.path.abspath(src) for name, src in (tree.split("=", 1) for tree in args.trees)}
+    trees = {name: load(f"_layers_tree{i}", src) for i, (name, src) in enumerate(srcs.items())}
     rounds = {name: [] for name in trees}
-    turn = 0
-    for k in range(args.repeats):
-        records = {name: {} for name in trees}
-        for layer in LAYERS:
-            # every tree in turn; alternate which tree goes first
-            for name in list(trees) if turn % 2 == 0 else list(reversed(trees)):
-                merge(records[name], measure(trees[name], layer, k + 1))
-            turn += 1
+    for k in range(1, args.repeats + 1):
+        records = cost_layers(trees, k)
+        for turn, (algo, count) in enumerate(itertools.product(ALGORITHMS, SEEDS), start=k):
+            for name in in_turn(list(trees), turn):
+                figures = run_layer(trees[name], algo, count, k)
+                for key, value in zip(("run_s", "objective_share", "rounds"), figures):
+                    records[name].setdefault(key, {}).setdefault(algo, {})[str(count)] = value
+        for turn, jobs in enumerate((1, 2), start=k):
+            for name in in_turn(list(trees), turn):
+                records[name].setdefault("bench_s", {})[str(jobs)] = bench_seconds(srcs[name], jobs)
         for name in trees:
             rounds[name].append(records[name])
-            print(f"round {k + 1}/{args.repeats} {name}: bench {records[name]['bench_s']}", file=sys.stderr)
-    import numpy
+            print(f"round {k}/{args.repeats} {name}: bench {records[name]['bench_s']}", file=sys.stderr)
 
     record = {
         "host": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
-            "numpy": numpy.__version__,
+            "numpy": np.__version__,
             "machine": platform.machine(),
         },
         "repeats": args.repeats,
