@@ -20,7 +20,7 @@ balanced = DecisionVector.from_array(result.best_x)
 print(f"balanced at m_1={balanced.m_1:.4f}, phi_1={balanced.phi_1:.4f}, "
       f"m_2={balanced.m_2:.4f}, phi_2={balanced.phi_2:.4f}")
 
-emit_polar(cfg, DecisionVector.zero(), [("pso", balanced)], 360, "polar.csv")
+emit_polar(cfg, [("pso", balanced)], 360, "polar.csv")
 print("wrote polar.csv (theta_rad, r_unbalanced, r_pso)")
 
 data = np.genfromtxt("polar.csv", delimiter=",", names=True)

@@ -17,7 +17,9 @@ column list is named once, in its ``*_HEADER`` constant:
 
 Failed runs stay in the results table as rows with status "failed" (empty
 numeric fields) so experiment numbers remain aligned with seeds; they are
-excluded from the statistics.
+excluded from the statistics.  Every plan, a one-run plan included, runs
+in worker processes (``run_plan``), so a run that raises, or whose worker
+dies, fails alone and the plan goes on, at any number of jobs.
 """
 
 from __future__ import annotations
@@ -165,41 +167,12 @@ def _row(cfg, spec, run, outcome) -> ResultRow:
 
 
 def _execute_share(cfg, spec, runs) -> list[ResultRow]:
-    """Run a worker's share of the plan in lockstep, one row per run; an
-    exception fails the rows of the runs it ended, so the plan keeps
-    going."""
-    try:
-        outcomes = lockstep(
-            make_objective(cfg, spec),
-            [lambda tracked, a=a, p=p, s=s: STEPS[a](tracked, spec.bounds, p, s) for a, _, _, s, p in runs],
-        )
-    except Exception as exc:
-        outcomes = [exc] * len(runs)
+    """Run a worker's share of the plan in lockstep, one row per run."""
+    outcomes = lockstep(
+        make_objective(cfg, spec),
+        [lambda tracked, a=a, p=p, s=s: STEPS[a](tracked, spec.bounds, p, s) for a, _, _, s, p in runs],
+    )
     return [_row(cfg, spec, run, outcome) for run, outcome in zip(runs, outcomes)]
-
-
-def _run_pooled(cfg, spec, runs, shares, jobs: int) -> list[ResultRow]:
-    """The rows of ``runs``, each share (a sequence of run indices) run on a
-    one-worker pool of its own, ``jobs`` pools at a time.  Each run of a
-    share whose worker dies (BrokenProcessPool) is queued to run alone; a
-    lone run whose worker dies, or a share that raises, fails with the reason."""
-    rows = [None] * len(runs)
-    while shares:
-        wave, shares = shares[:jobs], shares[jobs:]
-        with ExitStack() as stack:
-            pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in wave]
-            futures = [p.submit(_execute_share, cfg, spec, [runs[i] for i in s]) for p, s in zip(pools, wave)]
-        for future, share in zip(futures, wave):
-            try:
-                part = future.result()
-            except Exception as exc:
-                if isinstance(exc, BrokenProcessPool) and len(share) > 1:
-                    shares += [[i] for i in share]
-                    continue
-                part = [_row(cfg, spec, runs[i], exc) for i in share]
-            for i, row in zip(share, part):
-                rows[i] = row
-    return rows
 
 
 def require_jobs(jobs: int) -> None:
@@ -218,10 +191,12 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     dealt round-robin into min(jobs, runs) shares, and each worker runs
     its share in lockstep (``optimizers.lockstep``), with the results each
     run would have alone.  Rows come back in that order regardless of
-    ``jobs``.  Each share runs on a one-worker pool of its own, so a
-    worker process that crashes loses only its own share; each run of that
-    share runs once more on a pool of its own, and one that crashes again
-    stays failed, with the reason.
+    ``jobs``.  Each share runs on a one-worker pool of its own, ``jobs``
+    pools at a time, at every ``jobs``, one included.  So a worker process
+    that crashes (BrokenProcessPool) loses only its own share: each run of
+    that share runs once more on a pool of its own, and one that crashes
+    again stays failed, with the reason.  A share that raises fails the
+    rows of its runs, with the reason, and the plan goes on.
     """
     require_jobs(jobs)
     cfg, spec = plan.mechanism, plan.objective
@@ -232,9 +207,24 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
         for r in range(plan.repeats)
     ]
     workers = min(jobs, len(runs))
-    if workers == 1:
-        return _execute_share(cfg, spec, runs)
-    return _run_pooled(cfg, spec, runs, [range(w, len(runs), workers) for w in range(workers)], jobs)
+    shares = [range(w, len(runs), workers) for w in range(workers)]
+    rows = [None] * len(runs)
+    while shares:
+        wave, shares = shares[:jobs], shares[jobs:]
+        with ExitStack() as stack:
+            pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in wave]
+            futures = [p.submit(_execute_share, cfg, spec, [runs[i] for i in s]) for p, s in zip(pools, wave)]
+        for future, share in zip(futures, wave):
+            try:
+                part = future.result()
+            except Exception as exc:
+                if isinstance(exc, BrokenProcessPool) and len(share) > 1:
+                    shares += [[i] for i in share]
+                    continue
+                part = [_row(cfg, spec, runs[i], exc) for i in share]
+            for i, row in zip(share, part):
+                rows[i] = row
+    return rows
 
 
 def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
@@ -343,15 +333,15 @@ def emit_runtime_growth(rows: list[ResultRow], path) -> None:
 
 def emit_polar(
     cfg: MechanismConfig,
-    dv_unbalanced: DecisionVector,
     solutions: list[tuple[str, DecisionVector]],
     n_samples: int,
     path,
 ) -> None:
     """Radial cost profile r(theta) = |p1| + |p2| for the unbalanced state
-    and each named solution, one column per solution."""
+    (no counterweights, the ``r_unbalanced`` column) and each named
+    solution, one column per solution."""
     theta = theta_grid(n_samples)
-    columns = [("unbalanced", dv_unbalanced)] + list(solutions)
+    columns = [("unbalanced", DecisionVector.zero())] + list(solutions)
     radial = []
     for _, dv in columns:
         p1, p2, _, _ = profile_arrays(cfg, dv, theta)

@@ -116,7 +116,6 @@ def cmd_balance(args) -> int:
     bench_mod.emit_convergence([row], targets["convergence.csv"])
     bench_mod.emit_polar(
         config.mechanism,
-        DecisionVector.zero(),
         [(args.algo, DecisionVector.from_array(row.result.best_x))],
         config.objective.n_samples,
         targets["polar.csv"],
@@ -227,9 +226,7 @@ def cmd_profile(args) -> int:
         require_grid_size(args.samples)
     solutions = _read_solutions(args.solutions)
     targets = _prepare_outputs(args.out, ["polar.csv"], args.force)
-    bench_mod.emit_polar(
-        config.mechanism, DecisionVector.zero(), solutions, args.samples, targets["polar.csv"]
-    )
+    bench_mod.emit_polar(config.mechanism, solutions, args.samples, targets["polar.csv"])
     print(f"wrote {targets['polar.csv']}")
     return EXIT_OK
 

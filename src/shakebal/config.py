@@ -4,8 +4,8 @@ Format: one ``section.key = value`` assignment per line, ``#`` starts a
 comment, blank lines ignored.  Numbers may use decimal or scientific
 notation; angle-valued keys additionally accept a ``rad`` or ``deg``
 suffix (``mechanism.alpha = 180deg``) and are stored in radians.  Unknown
-keys are rejected; missing keys take the documented defaults; every
-dataclass invariant is re-validated on load.
+keys, and a key set twice, are rejected; missing keys take the documented
+defaults; every dataclass invariant is re-validated on load.
 
 An error names the file and one rule picks its key (``named_key``): the
 first word of the check's message that is a key this file sets in the
@@ -115,6 +115,9 @@ def read_assignments(path) -> dict[tuple[str, str], tuple[object, int]]:
             section, _, key = name.partition(".")
             if section not in _KEYS or key not in _KEYS[section]:
                 raise ConfigError(f"{path}:{lineno}: unknown key '{section}.{key}'")
+            if (section, key) in assignments:
+                first = assignments[(section, key)][1]
+                raise ConfigError(f"{path}:{lineno}: {section}.{key}: set again (first set on line {first})")
             if not text:
                 raise ConfigError(f"{path}:{lineno}: {section}.{key}: empty value")
             try:

@@ -53,6 +53,31 @@ def unchecked_overflow(monkeypatch):
     monkeypatch.setattr(bench, "require_finite_cost", lambda cfg, spec: None)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Make each pool run its tasks at submit, in this process, so that no
+    worker starts; the list of each pool's ``max_workers``, in order."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
 def tiny_plan(**overrides) -> ExperimentPlan:
     fields = dict(
         algorithms=("pso", "abc"),
@@ -105,7 +130,7 @@ def test_parallel_execution_matches_serial(tmp_path):
         assert results_equal_modulo_time(tmp_path / "serial.csv", tmp_path / "parallel.csv")
 
 
-def test_one_process_runs_the_plan_in_one_lockstep(monkeypatch):
+def test_one_process_runs_the_plan_in_one_lockstep(monkeypatch, serial_pool):
     sizes = []
 
     def counted(objective, runs):
@@ -114,6 +139,7 @@ def test_one_process_runs_the_plan_in_one_lockstep(monkeypatch):
 
     monkeypatch.setattr(bench, "lockstep", counted)
     rows = run_plan(tiny_plan(iteration_budgets=(5, 10)), jobs=1)
+    assert serial_pool == [1]
     assert sizes == [2 * 2 * 2]
     assert [r.status for r in rows] == ["ok"] * 8
 
@@ -153,29 +179,9 @@ def test_jobs_below_one_are_rejected(jobs):
         run_plan(tiny_plan(), jobs=jobs)
 
 
-def test_the_pool_has_no_more_workers_than_tasks(monkeypatch):
-    sizes = []
-
-    class SerialPool:
-        """Runs each task at submit, in this process: no worker starts."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, *args):
-            future = Future()
-            future.set_result(fn(*args))
-            return future
-
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+def test_the_pool_has_no_more_workers_than_tasks(serial_pool):
     rows = run_plan(tiny_plan(), jobs=10**6)
-    assert sizes == [1, 1, 1, 1]  # 4 runs, dealt into 4 shares of 1 run
+    assert serial_pool == [1, 1, 1, 1]  # 4 runs, dealt into 4 shares of 1 run
     assert [r.status for r in rows] == ["ok"] * 4
 
 
@@ -202,12 +208,13 @@ def test_failed_runs_stay_in_the_table(unchecked_overflow):
     multiprocessing.get_start_method() != "fork",
     reason="the patched optimizer reaches the workers only through fork",
 )
-def test_worker_crash_fails_its_rows_and_the_plan_goes_on(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_crash_fails_its_rows_and_the_plan_goes_on(tmp_path, monkeypatch, jobs):
     def crash(*args):
         os._exit(3)
 
     monkeypatch.setitem(STEPS, "pso", crash)
-    rows = run_plan(tiny_plan(algorithms=("pso",), repeats=3), jobs=2)
+    rows = run_plan(tiny_plan(algorithms=("pso",), repeats=3), jobs=jobs)
     assert [(r.algorithm, r.experiment, r.seed) for r in rows] == [("pso", k, k) for k in (1, 2, 3)]
     assert [r.status for r in rows] == ["failed"] * 3
     assert all(r.error.startswith("BrokenProcessPool: ") for r in rows)
@@ -219,7 +226,8 @@ def test_worker_crash_fails_its_rows_and_the_plan_goes_on(tmp_path, monkeypatch)
     multiprocessing.get_start_method() != "fork",
     reason="the patched optimizer reaches the workers only through fork",
 )
-def test_worker_crash_fails_only_its_own_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_crash_fails_only_its_own_run(tmp_path, monkeypatch, jobs):
     plan = tiny_plan(algorithms=("pso",), repeats=3)
     serial = run_plan(plan, jobs=1)
     pso = STEPS["pso"]
@@ -230,7 +238,7 @@ def test_worker_crash_fails_only_its_own_run(tmp_path, monkeypatch):
         return pso(tracked, bounds, params, seed)
 
     monkeypatch.setitem(STEPS, "pso", crash_on_seed_1)
-    rows = run_plan(plan, jobs=2)
+    rows = run_plan(plan, jobs=jobs)
     assert [(r.experiment, r.status) for r in rows] == [(1, "failed"), (2, "ok"), (3, "ok")]
     assert rows[0].error.startswith("BrokenProcessPool: ")
     write_results(rows[1:], tmp_path / "parallel.csv")
@@ -448,7 +456,7 @@ def test_runtime_refuses_missing_checkpoints(tmp_path):
 
 def test_polar_profile_rows(tmp_path):
     cfg = MechanismConfig()
-    emit_polar(cfg, DecisionVector.zero(), [("fix", DecisionVector(0.2, 0.0, math.pi, 0.0))],
+    emit_polar(cfg, [("fix", DecisionVector(0.2, 0.0, math.pi, 0.0))],
                360, tmp_path / "polar.csv")
     with open(tmp_path / "polar.csv", newline="") as fh:
         reader = csv.reader(fh)
@@ -461,7 +469,7 @@ def test_polar_profile_rows(tmp_path):
 
 def test_polar_zero_mechanism_is_all_zero(tmp_path):
     cfg = MechanismConfig(m_c=0.0, m_p=0.0, m_0=0.0)
-    emit_polar(cfg, DecisionVector.zero(), [], 360, tmp_path / "polar.csv")
+    emit_polar(cfg, [], 360, tmp_path / "polar.csv")
     with open(tmp_path / "polar.csv", newline="") as fh:
         next(fh)
         assert all(float(line.split(",")[1]) == 0.0 for line in fh)
@@ -477,7 +485,7 @@ def test_polar_balanced_area_smaller_when_cost_dropped(tmp_path):
     row = run_plan(plan)[0]
     assert row.total_cost < row.result.trace[0]  # the optimizer did reduce cost
     balanced = DecisionVector(row.m1, row.m2, row.phi1, row.phi2)
-    emit_polar(cfg, DecisionVector.zero(), [("pso", balanced)], 720, tmp_path / "polar.csv")
+    emit_polar(cfg, [("pso", balanced)], 720, tmp_path / "polar.csv")
     data = np.genfromtxt(tmp_path / "polar.csv", delimiter=",", names=True)
     assert polar_area_oracle(data["r_pso"]) < polar_area_oracle(data["r_unbalanced"])
 

@@ -1,6 +1,8 @@
 """CLI subcommands: outputs, exit codes, flag precedence, idempotence."""
 
 import csv
+import multiprocessing
+import os
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 from shakebal import bench, cli, config, objective
 from shakebal.bench import parse_results
 from shakebal.cli import main
+from shakebal.optimizers import STEPS
 
 FAST_CFG = """
 objective.n_samples = 64
@@ -210,6 +213,23 @@ def test_balance_failure_gives_the_reason(fast_cfg, tmp_path, capsys, unchecked_
     assert captured.out == ""
     assert captured.err.startswith("error: run aborted: NonFiniteObjectiveError: ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the patched optimizer reaches the worker only through fork",
+)
+def test_balance_whose_worker_dies_exits_2_with_the_reason(fast_cfg, tmp_path, capfd, monkeypatch):
+    def crash(*args):
+        os._exit(3)
+
+    monkeypatch.setitem(STEPS, "pso", crash)
+    assert main(["balance", "--config", fast_cfg, "--algo", "pso", "--out", str(tmp_path / "b")]) == 2
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: run aborted: BrokenProcessPool: ")
+    assert not (tmp_path / "b" / "convergence.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -82,6 +82,14 @@ def test_malformed_line_is_rejected(tmp_path):
         load(tmp_path, "just some words\n")
 
 
+def test_a_key_set_twice_is_rejected_citing_both_lines(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("pso.population = 50\npso.c1 = 0.3\n\npso.population = 6\n")
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    assert str(err.value) == f"{path}:4: pso.population: set again (first set on line 1)"
+
+
 def test_bench_lists(tmp_path):
     cfg = load(
         tmp_path,

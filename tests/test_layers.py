@@ -45,3 +45,23 @@ def test_one_tree_loads_as_two_separate_packages(packages):
         for tree in (a, b, shakebal)
     ]
     assert len({float(cost).hex() for cost in costs}) == 1
+
+
+@pytest.mark.parametrize(
+    "trees, error",
+    [(["src"], "expected NAME=SRC, got 'src'"), (["a=src", "a=src"], "tree name 'a' is given twice")],
+)
+def test_a_bad_tree_argument_exits_2_before_any_tree_loads(tmp_path, monkeypatch, capsys, trees, error):
+    tool = load_tool()
+
+    def measured(*args):
+        raise AssertionError("a tree was measured")
+
+    monkeypatch.setattr(tool, "cost_layers", measured)
+    monkeypatch.setattr(tool, "load", measured)
+    monkeypatch.setattr(sys, "argv", ["layers.py", "--out", str(tmp_path / "out.json"), *trees])
+    with pytest.raises(SystemExit) as exit_:
+        tool.main()
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {error}")
+    assert not (tmp_path / "out.json").exists()

@@ -171,7 +171,14 @@ def main() -> None:
     args = parser.parse_args()
     if not args.out or not args.trees or args.repeats < 1:
         parser.error("give --out, at least one NAME=SRC and --repeats >= 1")
-    srcs = {name: os.path.abspath(src) for name, src in (tree.split("=", 1) for tree in args.trees)}
+    srcs = {}
+    for tree in args.trees:
+        name, sep, src = tree.partition("=")
+        if not sep:
+            parser.error(f"expected NAME=SRC, got {tree!r}")
+        if name in srcs:
+            parser.error(f"tree name {name!r} is given twice")
+        srcs[name] = os.path.abspath(src)
     trees = {name: load(f"_layers_tree{i}", src) for i, (name, src) in enumerate(srcs.items())}
     rounds = {name: [] for name in trees}
     for k in range(1, args.repeats + 1):
