@@ -17,9 +17,9 @@ column list is named once, in its ``*_HEADER`` constant:
 
 Failed runs stay in the results table as rows with status "failed" (empty
 numeric fields) so experiment numbers remain aligned with seeds; they are
-excluded from the statistics.  Every plan, a one-run plan included, runs
-in worker processes (``run_plan``), so a run that raises, or whose worker
-dies, fails alone and the plan goes on, at any number of jobs.
+excluded from the statistics.  Every plan runs in worker processes
+(``run_plan``), with the same rows under every start method; a run that
+raises, or whose worker dies, fails alone, and the plan goes on.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class SummaryRow:
 def _row(cfg, spec, run, outcome) -> ResultRow:
     """The row of one run, from its RunResult or from the exception that
     ended it ("Type: message" in a failed row); a run is (algorithm,
-    budget, experiment, seed, params)."""
+    budget, experiment, seed, params, generator)."""
     try:
         if isinstance(outcome, Exception):
             raise outcome
@@ -170,7 +170,7 @@ def _execute_share(cfg, spec, runs) -> list[ResultRow]:
     """Run a worker's share of the plan in lockstep, one row per run."""
     outcomes = lockstep(
         make_objective(cfg, spec),
-        [lambda tracked, a=a, p=p, s=s: STEPS[a](tracked, spec.bounds, p, s) for a, _, _, s, p in runs],
+        [lambda tracked, g=g, p=p, s=s: g(tracked, spec.bounds, p, s) for _, _, _, s, p, g in runs],
     )
     return [_row(cfg, spec, run, outcome) for run, outcome in zip(runs, outcomes)]
 
@@ -191,17 +191,19 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     dealt round-robin into min(jobs, runs) shares, and each worker runs
     its share in lockstep (``optimizers.lockstep``), with the results each
     run would have alone.  Rows come back in that order regardless of
-    ``jobs``.  Each share runs on a one-worker pool of its own, ``jobs``
-    pools at a time, at every ``jobs``, one included.  So a worker process
-    that crashes (BrokenProcessPool) loses only its own share: each run of
-    that share runs once more on a pool of its own, and one that crashes
-    again stays failed, with the reason.  A share that raises fails the
-    rows of its runs, with the reason, and the plan goes on.
+    ``jobs``.  Each run carries its generator, read from ``STEPS`` here and
+    pickled by reference, so a plan gives the same rows under every start
+    method.  Each share runs on a one-worker pool of its own, ``jobs``
+    pools at a time.  So a worker process that crashes (BrokenProcessPool)
+    loses only its own share: each run of that share runs once more on a
+    pool of its own, and one that crashes again stays failed, with the
+    reason.  A share that raises, or whose generators do not pickle, fails
+    the rows of its runs, with the reason, and the plan goes on.
     """
     require_jobs(jobs)
     cfg, spec = plan.mechanism, plan.objective
     runs = [
-        (a, b, r + 1, plan.base_seed + r, dataclasses.replace(plan.optimizer_params[a], iterations=b))
+        (a, b, r + 1, plan.base_seed + r, dataclasses.replace(plan.optimizer_params[a], iterations=b), STEPS[a])
         for a in plan.algorithms
         for b in plan.iteration_budgets
         for r in range(plan.repeats)
@@ -241,16 +243,9 @@ def summarize(rows: list[ResultRow]) -> list[SummaryRow]:
         ok = [r for r in members if r.status == "ok"]
         if not ok:
             continue
-        costs = [r.total_cost for r in ok]
-        times = [r.wall_time_s for r in ok]
-        out.append(
-            SummaryRow(algorithm, budget, "cost", sum(costs) / len(costs), min(costs), max(costs))
-        )
-        out.append(
-            SummaryRow(
-                algorithm, budget, "wall_time_s", sum(times) / len(times), min(times), max(times)
-            )
-        )
+        for metric, column in (("cost", "total_cost"), ("wall_time_s", "wall_time_s")):
+            values = [getattr(r, column) for r in ok]
+            out.append(SummaryRow(algorithm, budget, metric, sum(values) / len(values), min(values), max(values)))
     return out
 
 
@@ -286,14 +281,19 @@ def write_results(rows: list[ResultRow], path) -> None:
 
 
 def parse_results(path) -> list[ResultRow]:
-    """Read results.csv back; traces are not recoverable from the file."""
+    """Read results.csv back, refusing a record of the wrong length or
+    status by its path:line; traces are not recoverable from the file."""
     types = {f.name: f.type for f in dataclasses.fields(ResultRow)}
     parse = {"str": str, "int": int, "float | None": lambda t: None if t == "" else float(t)}
     with open(path, encoding="utf-8", newline="") as fh:
-        header, *records = csv.reader(fh)
+        reader = csv.reader(fh)
+        (_, header), *records = [(reader.line_num, rec) for rec in reader]
     if header != RESULTS_HEADER:
         raise ValueError(f"unexpected results header {header}")
-    return [ResultRow(**{n: parse[types[n]](t) for n, t in zip(header, rec)}) for rec in records]
+    for line, rec in records:
+        if len(rec) != len(header) or rec[-1] not in ("ok", "failed"):
+            raise ValueError(f"{path}:{line}: malformed results record {rec}")
+    return [ResultRow(**{n: parse[types[n]](t) for n, t in zip(header, rec)}) for _, rec in records]
 
 
 def write_summary(summary: list[SummaryRow], path) -> None:

@@ -4,7 +4,6 @@ round-trips."""
 import csv
 import dataclasses
 import math
-import multiprocessing
 import os
 import re
 from concurrent.futures import Future
@@ -35,6 +34,7 @@ from shakebal.bench import (
 from shakebal.mechanism import DecisionVector, MechanismConfig
 from shakebal.objective import ObjectiveSpec, default_search_bounds
 from shakebal.optimizers import STEPS, AbcParams, BgaParams, HgapsoParams, PsoParams, RunResult, lockstep
+from shakebal.optimizers.pso import pso_steps
 
 from _oracles import polar_area_oracle
 
@@ -78,6 +78,18 @@ def serial_pool(monkeypatch):
     return sizes
 
 
+# Roster entries whose worker dies; module-level, so that a worker started
+# by any start method unpickles them by reference.
+def crash(*args):
+    os._exit(3)
+
+
+def crash_on_seed_1(tracked, bounds, params, seed):
+    if seed == 1:
+        os._exit(3)
+    return pso_steps(tracked, bounds, params, seed)
+
+
 def tiny_plan(**overrides) -> ExperimentPlan:
     fields = dict(
         algorithms=("pso", "abc"),
@@ -116,7 +128,7 @@ def test_plan_is_deterministic_modulo_wall_time(tmp_path):
     assert results_equal_modulo_time(tmp_path / "a.csv", tmp_path / "b.csv")
 
 
-def test_parallel_execution_matches_serial(tmp_path):
+def test_parallel_execution_matches_serial(tmp_path, pools):
     plan = tiny_plan()
     write_results(run_plan(plan, jobs=1), tmp_path / "serial.csv")
     write_results(run_plan(plan, jobs=2), tmp_path / "parallel.csv")
@@ -144,7 +156,7 @@ def test_one_process_runs_the_plan_in_one_lockstep(monkeypatch, serial_pool):
     assert [r.status for r in rows] == ["ok"] * 8
 
 
-def test_an_algorithm_is_added_by_its_roster_entry_alone(monkeypatch):
+def test_an_algorithm_is_added_by_its_roster_entry_alone(monkeypatch, pools):
     # a fifth entry in STEPS and PARAMS, and nowhere else, runs in a plan
     monkeypatch.setitem(optimizers.STEPS, "pso2", STEPS["pso"])
     monkeypatch.setitem(optimizers.PARAMS, "pso2", PsoParams)
@@ -204,15 +216,8 @@ def test_failed_runs_stay_in_the_table(unchecked_overflow):
     assert [r.seed for r in rows] == [1, 2]
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched optimizer reaches the workers only through fork",
-)
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_worker_crash_fails_its_rows_and_the_plan_goes_on(tmp_path, monkeypatch, jobs):
-    def crash(*args):
-        os._exit(3)
-
+def test_worker_crash_fails_its_rows_and_the_plan_goes_on(tmp_path, monkeypatch, pools, jobs):
     monkeypatch.setitem(STEPS, "pso", crash)
     rows = run_plan(tiny_plan(algorithms=("pso",), repeats=3), jobs=jobs)
     assert [(r.algorithm, r.experiment, r.seed) for r in rows] == [("pso", k, k) for k in (1, 2, 3)]
@@ -222,21 +227,10 @@ def test_worker_crash_fails_its_rows_and_the_plan_goes_on(tmp_path, monkeypatch,
     assert [r.status for r in parse_results(tmp_path / "results.csv")] == ["failed"] * 3
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched optimizer reaches the workers only through fork",
-)
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_worker_crash_fails_only_its_own_run(tmp_path, monkeypatch, jobs):
+def test_worker_crash_fails_only_its_own_run(tmp_path, monkeypatch, pools, jobs):
     plan = tiny_plan(algorithms=("pso",), repeats=3)
     serial = run_plan(plan, jobs=1)
-    pso = STEPS["pso"]
-
-    def crash_on_seed_1(tracked, bounds, params, seed):
-        if seed == 1:
-            os._exit(3)
-        return pso(tracked, bounds, params, seed)
-
     monkeypatch.setitem(STEPS, "pso", crash_on_seed_1)
     rows = run_plan(plan, jobs=jobs)
     assert [(r.experiment, r.status) for r in rows] == [(1, "failed"), (2, "ok"), (3, "ok")]
@@ -246,31 +240,20 @@ def test_worker_crash_fails_only_its_own_run(tmp_path, monkeypatch, jobs):
     assert results_equal_modulo_time(tmp_path / "serial.csv", tmp_path / "parallel.csv")
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched optimizer reaches the workers only through fork",
-)
-def test_worker_crash_reruns_only_its_own_share(monkeypatch):
-    sizes = []
-
-    class CountedPool(bench.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers)
-
-    pso = STEPS["pso"]
-
-    def crash_on_seed_1(tracked, bounds, params, seed):
-        if seed == 1:
-            os._exit(3)
-        return pso(tracked, bounds, params, seed)
-
-    monkeypatch.setattr(bench, "ProcessPoolExecutor", CountedPool)
+def test_worker_crash_reruns_only_its_own_share(monkeypatch, pools):
     monkeypatch.setitem(STEPS, "pso", crash_on_seed_1)
     rows = run_plan(tiny_plan(algorithms=("pso",), repeats=4), jobs=2)
     assert [r.status for r in rows] == ["failed", "ok", "ok", "ok"]
     # shares {1, 3} and {2, 4}: only seeds 1 and 3 rerun, each on its own pool
-    assert sizes == [1, 1, 1, 1]
+    assert pools == [1, 1, 1, 1]
+
+
+def test_a_roster_entry_that_does_not_pickle_fails_its_rows(monkeypatch, pools):
+    # the generator is pickled into the worker, under every start method
+    monkeypatch.setitem(STEPS, "pso", lambda *args: pso_steps(*args))
+    rows = run_plan(tiny_plan(algorithms=("pso",)), jobs=1)
+    assert [r.status for r in rows] == ["failed", "failed"]
+    assert all("pickle" in r.error for r in rows)
 
 
 def test_a_plan_whose_cost_can_overflow_is_rejected():
@@ -376,6 +359,24 @@ def test_every_results_column_round_trips(tmp_path, unchecked_overflow):
     assert table(back) == table(rows)
     kinds = [type(getattr(back[0], name)).__name__ for name in RESULTS_HEADER]
     assert kinds == ["str", "int", "int", "int"] + ["float"] * 9 + ["str"]
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "pso,10,2,2",
+        "pso,10,2,2,,,,,,,,,,failed,",
+        "pso,10,2,2,,,,,,,,,,done",
+    ],
+    ids=["too-few-fields", "a-field-too-many", "no-such-status"],
+)
+def test_a_malformed_results_record_is_refused(tmp_path, record):
+    path = tmp_path / "results.csv"
+    write_results([ResultRow("pso", 10, 1, 1, status="failed")], path)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(record + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: malformed results record "):
+        parse_results(path)
 
 
 def test_headers_are_the_record_fields():

@@ -1,7 +1,6 @@
 """CLI subcommands: outputs, exit codes, flag precedence, idempotence."""
 
 import csv
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -28,6 +27,12 @@ bench.algorithms = pso, abc
 bench.iteration_budgets = 10
 bench.repeats = 2
 """
+
+
+def crash(*args):
+    """A roster entry whose worker dies; module-level, so that a worker
+    started by any start method unpickles it by reference."""
+    os._exit(3)
 
 
 @pytest.fixture
@@ -215,14 +220,7 @@ def test_balance_failure_gives_the_reason(fast_cfg, tmp_path, capsys, unchecked_
     assert len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork",
-    reason="the patched optimizer reaches the worker only through fork",
-)
-def test_balance_whose_worker_dies_exits_2_with_the_reason(fast_cfg, tmp_path, capfd, monkeypatch):
-    def crash(*args):
-        os._exit(3)
-
+def test_balance_whose_worker_dies_exits_2_with_the_reason(fast_cfg, tmp_path, capfd, monkeypatch, pools):
     monkeypatch.setitem(STEPS, "pso", crash)
     assert main(["balance", "--config", fast_cfg, "--algo", "pso", "--out", str(tmp_path / "b")]) == 2
     captured = capfd.readouterr()
