@@ -27,7 +27,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 
@@ -194,11 +193,11 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     ``jobs``.  Each run carries its generator, read from ``STEPS`` here and
     pickled by reference, so a plan gives the same rows under every start
     method.  Each share runs on a one-worker pool of its own, ``jobs``
-    pools at a time.  So a worker process that crashes (BrokenProcessPool)
-    loses only its own share: each run of that share runs once more on a
-    pool of its own, and one that crashes again stays failed, with the
-    reason.  A share that raises, or whose generators do not pickle, fails
-    the rows of its runs, with the reason, and the plan goes on.
+    pools at a time.  A share that fails as a whole, because its worker
+    process crashed (BrokenProcessPool), one of its generators does not
+    pickle, or it raised, loses only its own runs: each run of that share
+    runs once more on a pool of its own, and one that fails again fails
+    its row, with the reason.  The plan goes on.
     """
     require_jobs(jobs)
     cfg, spec = plan.mechanism, plan.objective
@@ -220,7 +219,7 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
             try:
                 part = future.result()
             except Exception as exc:
-                if isinstance(exc, BrokenProcessPool) and len(share) > 1:
+                if len(share) > 1:
                     shares += [[i] for i in share]
                     continue
                 part = [_row(cfg, spec, runs[i], exc) for i in share]

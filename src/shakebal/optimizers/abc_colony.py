@@ -110,11 +110,13 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
     and asks for all 2*SN candidates in one batch, guessed from the sources
     and the fitness at its start.  It then walks the employed moves and the
     onlooker moves in order as the sequential algorithm does, the picks
-    taken from the fitness after the employed walk: each move's candidate
-    is rebuilt from the current sources, and one that differs from its
-    guess is scored on its own and replaces it.  Each phase is recorded in
-    one ``record`` call, in move order, so the run is bit for bit the
-    sequential one.
+    taken from the fitness after the employed walk (``walk``).  A move's
+    candidate can differ from its guess only when its source or its
+    partner was replaced earlier in the iteration, or its onlooker pick
+    is not the one guessed; only such a move is rebuilt from the current
+    sources, and one that differs from its guess is scored on its own and
+    replaces it.  Each phase is recorded in one ``record`` call, in move
+    order, so the run is bit for bit the sequential one.
     """
     sn, d = params.food_sources, bounds.dimension
     lower, upper = bounds.lower, bounds.upper
@@ -123,12 +125,12 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
     rng = substream(seed, SEARCH_STREAM)
 
     x = bounds.lerp(rng_init.random((sn, d)))
-    f = tracked.record(x, (yield x))
-    trials = np.zeros(sn, dtype=int)
+    f = tracked.record(x, (yield x)).tolist()
+    trials = [0] * sn
 
     def picks(uniforms: np.ndarray) -> np.ndarray:
         """The onlooker picks from their uniforms, on the fitness as it stands."""
-        return roulette(selection_probabilities(colony_fitness(f)), uniforms)
+        return roulette(selection_probabilities(colony_fitness(np.array(f))), uniforms)
 
     def candidates(sources: np.ndarray, draws: tuple) -> np.ndarray:
         """The candidates of the moves of ``sources`` from x as it stands."""
@@ -139,21 +141,33 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
         rows[np.arange(sn), j] = np.clip(xj + phi * (xj - x[k, j]), lower[j], upper[j])
         return rows
 
-    def walk(sources: np.ndarray, draws: tuple, guesses: np.ndarray, values: np.ndarray) -> None:
-        """Apply a phase's moves in order, as described above, and record it."""
+    def walk(
+        sources: np.ndarray,
+        guessed: np.ndarray,
+        draws: tuple,
+        guesses: np.ndarray,
+        values: np.ndarray,
+        replaced: set,
+    ) -> None:
+        """Apply a phase's moves in order, as described above, and record
+        it; ``guessed`` holds the sources the guesses were built for, and
+        ``replaced`` the sources replaced so far in the iteration."""
         values = values.tolist()
-        for m, (i, j, k, phi) in enumerate(zip(sources.tolist(), *(a.tolist() for a in draws))):
+        moves = zip(sources.tolist(), guessed.tolist(), *(a.tolist() for a in draws))
+        for m, (i, g, j, k, phi) in enumerate(moves):
             k += k >= i
-            v = x[i].copy()
-            v[j] = min(max(x[i, j] + phi * (x[i, j] - x[k, j]), lower[j]), upper[j])
-            if v.tobytes() != guesses[m].tobytes():
-                guesses[m], values[m] = v, float(tracked.fn(v))
+            if i != g or i in replaced or k in replaced:
+                v = x[i].copy()
+                v[j] = min(max(x[i, j] + phi * (x[i, j] - x[k, j]), lower[j]), upper[j])
+                if v.tobytes() != guesses[m].tobytes():
+                    guesses[m], values[m] = v, float(tracked.fn(v))
             if not math.isfinite(values[m]):
                 break  # the record below raises at this move
             if values[m] < f[i]:
-                x[i] = v
+                x[i] = guesses[m]
                 f[i] = values[m]
                 trials[i] = 0
+                replaced.add(i)
             else:
                 trials[i] += 1
         tracked.record(guesses, np.array(values))
@@ -163,12 +177,15 @@ def abc_steps(tracked: TrackedObjective, bounds: Bounds, params: AbcParams, seed
         moves = move_draws(rng, sn, d, sn - 1)
         uniforms = rng.random(sn)
         onlooker_moves = move_draws(rng, sn, d, sn - 1)
-        X = np.concatenate([candidates(employed, moves), candidates(picks(uniforms), onlooker_moves)])
+        guessed = picks(uniforms)
+        X = np.concatenate([candidates(employed, moves), candidates(guessed, onlooker_moves)])
         values = yield X
-        walk(employed, moves, X[:sn], values[:sn])
-        walk(picks(uniforms), onlooker_moves, X[sn:], values[sn:])
+        replaced = set()
+        walk(employed, employed, moves, X[:sn], values[:sn], replaced)
+        walk(picks(uniforms), guessed, onlooker_moves, X[sn:], values[sn:], replaced)
 
-        for i in np.flatnonzero(trials > params.limit):
-            x[i] = bounds.lerp(rng.random(d))
-            f[i] = tracked(x[i])
-            trials[i] = 0
+        for i in range(sn):
+            if trials[i] > params.limit:
+                x[i] = bounds.lerp(rng.random(d))
+                f[i] = tracked(x[i])
+                trials[i] = 0

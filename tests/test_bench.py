@@ -3,6 +3,8 @@ round-trips."""
 
 import csv
 import dataclasses
+import hashlib
+import io
 import math
 import os
 import re
@@ -254,6 +256,49 @@ def test_a_roster_entry_that_does_not_pickle_fails_its_rows(monkeypatch, pools):
     rows = run_plan(tiny_plan(algorithms=("pso",)), jobs=1)
     assert [r.status for r in rows] == ["failed", "failed"]
     assert all("pickle" in r.error for r in rows)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_that_does_not_pickle_fails_alone(tmp_path, monkeypatch, jobs):
+    # runs (pso 1, pso 2, abc 1, abc 2) in one share at jobs=1, and in
+    # shares {pso 1, abc 1} and {pso 2, abc 2} at jobs=2
+    plan = tiny_plan()
+    clean = run_plan(plan, jobs=jobs)
+    monkeypatch.setitem(STEPS, "pso", lambda *args: pso_steps(*args))
+    rows = run_plan(plan, jobs=jobs)
+    assert [(r.algorithm, r.status) for r in rows] == [("pso", "failed")] * 2 + [("abc", "ok")] * 2
+    assert all("pickle" in r.error for r in rows[:2])
+    write_results(rows[2:], tmp_path / "rows.csv")
+    write_results(clean[2:], tmp_path / "clean.csv")
+    assert results_equal_modulo_time(tmp_path / "rows.csv", tmp_path / "clean.csv")
+
+
+def deterministic_output(out: Path) -> bytes:
+    """results.csv with its wall-time column emptied, then convergence.csv:
+    the part of a campaign's output that repeats bit for bit."""
+    buf = io.StringIO()
+    with open(out / "results.csv", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        writer = csv.writer(buf, lineterminator="\n")
+        header = next(reader)
+        writer.writerow(header)
+        for rec in reader:
+            rec[header.index("wall_time_s")] = ""
+            writer.writerow(rec)
+    return buf.getvalue().encode() + (out / "convergence.csv").read_bytes()
+
+
+def test_the_benchmark_campaign_output_is_pinned(tmp_path):
+    # the plan of perfbench's campaign workload: the default problem and
+    # parameters, 4 algorithms x budgets 200 and 300 x 2 repeats.  Bit-exact
+    # under numpy's Generator as of 2.4, like the short runs pinned in
+    # test_optimizers; a change of any run's draws or arithmetic moves it
+    rows = run_plan(ExperimentPlan(iteration_budgets=(200, 300), repeats=2, base_seed=1))
+    assert [r.status for r in rows] == ["ok"] * 16
+    write_results(rows, tmp_path / "results.csv")
+    emit_convergence(rows, tmp_path / "convergence.csv")
+    digest = hashlib.sha256(deterministic_output(tmp_path)).hexdigest()
+    assert digest == "48c14e4e5371843f64a9cd15d16bd065607af54e6798eed6ad9632a01f0ae8ee"
 
 
 def test_a_plan_whose_cost_can_overflow_is_rejected():

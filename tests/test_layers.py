@@ -2,6 +2,7 @@
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -65,3 +66,49 @@ def test_a_bad_tree_argument_exits_2_before_any_tree_loads(tmp_path, monkeypatch
     assert exit_.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: {error}")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_jobs_take_turns_at_each_pause():
+    tool = load_tool()
+    log = []
+
+    def job(name, steps):
+        def run(pause):
+            for i in range(steps):
+                log.append(f"{name}{i}")
+                pause()
+            return name
+
+        return run
+
+    def failing(pause):
+        log.append("c0")
+        pause()
+        raise ValueError("boom")
+
+    turns = {}
+    turn_taker = threading.Thread(
+        target=lambda: turns.update(tool.take_turns({"a": job("a", 3), "b": job("b", 1), "c": failing}))
+    )
+    turn_taker.start()
+    turn_taker.join(timeout=30)
+    assert not turn_taker.is_alive()
+
+    # b and then c finish in their second turns, and a goes on alone
+    assert log == ["a0", "b0", "c0", "a1", "a2"]
+    assert [turns[name][1] for name in "ab"] == ["a", "b"]
+    assert isinstance(turns["c"][1], ValueError)
+    assert all(seconds >= 0.0 for seconds, _ in turns.values())
+
+
+def test_two_copies_of_one_tree_run_the_same_rounds(packages):
+    src = str(Path(shakebal.__file__).parents[1])
+    tool = load_tool()
+    trees = {name: tool.load(name, src) for name in packages}
+
+    figures = tool.run_layer(trees, "pso", 1, 1)
+
+    assert list(figures) == list(packages)
+    for seconds, share, rounds in figures.values():
+        assert seconds > 0.0 and 0.0 < share < 1.0
+        assert rounds == tool.ITERATIONS + 1  # the initial population, then one per iteration

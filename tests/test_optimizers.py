@@ -2,6 +2,7 @@
 for the four minimizers."""
 
 import dataclasses
+import json
 import re
 import time
 import typing
@@ -38,7 +39,7 @@ from shakebal.optimizers import (
     substream,
 )
 from shakebal.optimizers.abc_colony import colony_fitness, move_draws
-from shakebal.optimizers.bga import breed, rank_probabilities
+from shakebal.optimizers.bga import breed, rank_probabilities, replayed_draws
 from shakebal.optimizers.common import TrackedObjective, score
 from shakebal.testfns import hypercube_bounds, rastrigin, sphere
 
@@ -203,6 +204,53 @@ def test_breed_matches_the_per_pair_oracle(crossover_prob, mutation_prob_per_bit
                 assert children.dtype == bool and children.shape == (count, length)
                 assert np.array_equal(children, breed_oracle(rng_oracle, parents, probs, count, params))
                 assert np.array_equal(rng.random(4), rng_oracle.random(4))
+
+
+def bit_generator_state(rng: np.random.Generator) -> str:
+    """The whole state of the generator's bit generator, spare half included."""
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+def hold_spare_half(rng: np.random.Generator, value: int) -> None:
+    """Make the bit generator hold ``value`` as its spare 32-bit half."""
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, value
+    rng.bit_generator.state = state
+
+
+@pytest.mark.parametrize("entry", ["no spare half", "a spare half", "a spare half Lemire rejects"])
+@pytest.mark.parametrize("stream", ["philox", "pcg64"])
+def test_breed_replays_the_per_pair_calls_and_leaves_their_state(stream, entry):
+    # the oracle makes the per-pair calls; after each generation the
+    # children and the whole bit-generator state must agree, so a spare
+    # 32-bit half carried from one pair or one generation to the next is
+    # checked too.  A held half of 0 is rejected by every bound but a power
+    # of two, such as the first cut bound 62 at L = 64 and k = 2
+    make = {"philox": lambda seed: substream(seed, 1), "pcg64": np.random.default_rng}[stream]
+    meta = np.random.default_rng(17)
+    cases = [(20, k) for k in range(1, 20)] + [(64, k) for k in (1, 2, 3, 62, 63)]
+    for seed, (length, k) in enumerate(cases):
+        parents = meta.random((50, length)) < 0.5
+        probs = rank_probabilities(meta.random(50))
+        params = BgaParams(crossover_points=k, crossover_prob=(0.9, 0.5, 1.0)[seed % 3])
+        rng, rng_oracle = make(seed), make(seed)
+        if entry != "no spare half":
+            value = 0 if entry.endswith("rejects") else 0x9E3779B9
+            for r in (rng, rng_oracle):
+                hold_spare_half(r, value)
+        for count in (1, 0, 49, 25, 3):
+            children = breed(rng, parents, probs, count, params)
+            assert np.array_equal(children, breed_oracle(rng_oracle, parents, probs, count, params))
+            assert bit_generator_state(rng) == bit_generator_state(rng_oracle)
+
+
+def test_a_lemire_rejection_leaves_the_stream_to_the_per_pair_calls():
+    rng = substream(1, 1)
+    hold_spare_half(rng, 0)
+    before = bit_generator_state(rng)
+    # the first pair crosses and draws its first cut, bound 62, from the held 0
+    assert replayed_draws(rng, 25, 64, BgaParams(crossover_prob=1.0), 1 / 64) is None
+    assert bit_generator_state(rng) == before
 
 
 @pytest.mark.parametrize(

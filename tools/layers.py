@@ -18,10 +18,11 @@ Each NAME=SRC names a source tree: SRC is the directory that holds the
 
 Every tree is imported once into this process, as a package of its own
 (``load``), and the trees take turns so that a slow spell of the host
-falls on all of them alike: one cost call each at a time, and each run
-and bench once per round.  The tree that goes first alternates from one
-call, run or bench to the next, and from one round to the next.  Only
-``shakebal bench`` runs in a child process.
+falls on all of them alike: one cost call each at a time, TURN_ROUNDS
+scoring rounds of a run each at a time (``take_turns``), and each bench
+once per round.  The tree that goes first alternates from one call, run
+or bench to the next, and from one round to the next.  Only ``shakebal
+bench`` runs in a child process.
 Every figure written is the median over the rounds, with the samples
 beside it, and the file records the host: nproc, Python and numpy.
 """
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import importlib.util
 import itertools
 import json
@@ -39,6 +41,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 import numpy as np
@@ -49,14 +52,18 @@ SEEDS = (1, 2, 10)
 ITERATIONS = 300
 SCALAR_CALLS = 2000  # per tree and round
 BATCH_CALLS = 400  # per tree, round and row count
+TURN_ROUNDS = 2  # scoring rounds of one tree's run per turn
+WARM_UP_ITERATIONS = 5  # of an untimed run per tree before the timed ones
 
 
 class Timed:
     """An objective, with the seconds spent in its calls and batches summed
-    and its batches counted."""
+    and its batches counted; ``pause`` is called before every TURN_ROUNDS-th
+    batch."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, pause):
         self.fn = fn
+        self.pause = pause
         self.seconds = 0.0
         self.rounds = 0
 
@@ -68,6 +75,8 @@ class Timed:
 
     def batch(self, X):
         self.rounds += 1
+        if self.rounds % TURN_ROUNDS == 0:
+            self.pause()
         start = time.perf_counter()
         values = self.fn.batch(X)
         self.seconds += time.perf_counter() - start
@@ -130,18 +139,105 @@ def cost_layers(trees: dict, round_index: int) -> dict:
     }
 
 
-def run_layer(shakebal, name: str, count: int, round_index: int) -> tuple:
-    """(seconds per seed, objective share, batch calls) of ``count`` seeds
-    of algorithm ``name`` in lockstep, 300 iterations each."""
+def take_turns(jobs: dict) -> dict:
+    """Run each job, a callable of one argument ``pause``, in a thread of
+    its own, one job at a time: the running job calls ``pause()`` to hand
+    over to the next unfinished job, in the order of ``jobs``, and goes on
+    when its turn comes back.  Returns, per job, (the seconds of its own
+    turns, its return value or the exception that ended it).
+
+    Where the OS lets a thread choose its CPUs, every job thread runs on
+    the same one, so that no job gains or loses by the CPU it wakes on."""
+    names = list(jobs)
+    cpu = {min(os.sched_getaffinity(0))} if hasattr(os, "sched_setaffinity") else None
+    turn = threading.Condition()
+    live, current = list(names), [names[0]]
+    seconds = dict.fromkeys(names, 0.0)
+    outcomes = {}
+
+    def hand_over(name: str, finished: bool = False) -> None:
+        with turn:
+            following = live[(live.index(name) + 1) % len(live)]
+            if finished:
+                live.remove(name)
+            current[0] = following if live else None
+            turn.notify_all()
+
+    def wait(name: str) -> float:
+        with turn:
+            turn.wait_for(lambda: current[0] == name)
+        return time.perf_counter()
+
+    def run(name: str) -> None:
+        if cpu is not None:
+            os.sched_setaffinity(0, cpu)
+        started = [wait(name)]
+
+        def pause() -> None:
+            seconds[name] += time.perf_counter() - started[0]
+            hand_over(name)
+            started[0] = wait(name)
+
+        try:
+            outcomes[name] = jobs[name](pause)
+        except Exception as exc:
+            outcomes[name] = exc
+        finally:
+            seconds[name] += time.perf_counter() - started[0]
+            hand_over(name, finished=True)
+
+    threads = [threading.Thread(target=run, args=(name,)) for name in names]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return {name: (seconds[name], outcomes[name]) for name in names}
+
+
+def lockstep_job(shakebal, name: str, count: int, round_index: int) -> tuple:
+    """(the job, an untimed warm-up) of ``count`` seeds of algorithm
+    ``name`` in lockstep in one tree, 300 iterations each.  The job takes
+    the ``pause`` of ``take_turns`` and returns its Timed objective."""
     spec = shakebal.objective.ObjectiveSpec()
-    timed = Timed(shakebal.objective.make_objective(shakebal.mechanism.MechanismConfig(), spec))
+    objective = shakebal.objective.make_objective(shakebal.mechanism.MechanismConfig(), spec)
     params = dataclasses.replace(shakebal.bench.default_optimizer_params()[name], iterations=ITERATIONS)
+    short = dataclasses.replace(params, iterations=WARM_UP_ITERATIONS)
     steps = shakebal.optimizers.STEPS[name]
     seeds = [round_index * 100 + s for s in range(count)]
-    start = time.perf_counter()
-    shakebal.optimizers.lockstep(timed, [lambda t, s=s: steps(t, spec.bounds, params, s) for s in seeds])
-    wall = time.perf_counter() - start
-    return wall / count, timed.seconds / wall, timed.rounds
+
+    def job(pause) -> Timed:
+        timed = Timed(objective, pause)
+        shakebal.optimizers.lockstep(timed, [lambda t, s=s: steps(t, spec.bounds, params, s) for s in seeds])
+        return timed
+
+    def warm_up() -> None:
+        shakebal.optimizers.lockstep(objective, [lambda t: steps(t, spec.bounds, short, 0)])
+
+    return job, warm_up
+
+
+def run_layer(trees: dict, name: str, count: int, round_index: int) -> dict:
+    """Per tree, (seconds per seed, objective share, batch calls) of
+    ``lockstep_job``; the trees' jobs take turns of TURN_ROUNDS scoring
+    rounds, in the order of ``trees``, after the warm-ups and with cyclic
+    garbage collection off."""
+    made = {tree: lockstep_job(shakebal, name, count, round_index) for tree, shakebal in trees.items()}
+    # a first run pays for what the process warms up, and a cyclic
+    # collection falls on whichever tree runs at the time
+    gc.collect()
+    for _, warm_up in made.values():
+        warm_up()
+    gc.disable()
+    try:
+        turns = take_turns({tree: job for tree, (job, _) in made.items()})
+    finally:
+        gc.enable()
+    figures = {}
+    for tree, (seconds, timed) in turns.items():
+        if isinstance(timed, Exception):
+            raise timed
+        figures[tree] = seconds / count, timed.seconds / seconds, timed.rounds
+    return figures
 
 
 def bench_seconds(src: str, jobs: int) -> float:
@@ -184,8 +280,8 @@ def main() -> None:
     for k in range(1, args.repeats + 1):
         records = cost_layers(trees, k)
         for turn, (algo, count) in enumerate(itertools.product(ALGORITHMS, SEEDS), start=k):
-            for name in in_turn(list(trees), turn):
-                figures = run_layer(trees[name], algo, count, k)
+            order = {name: trees[name] for name in in_turn(list(trees), turn)}
+            for name, figures in run_layer(order, algo, count, k).items():
                 for key, value in zip(("run_s", "objective_share", "rounds"), figures):
                     records[name].setdefault(key, {}).setdefault(algo, {})[str(count)] = value
         for turn, jobs in enumerate((1, 2), start=k):
