@@ -19,7 +19,9 @@ Failed runs stay in the results table as rows with status "failed" (empty
 numeric fields) so experiment numbers remain aligned with seeds; they are
 excluded from the statistics.  Every plan runs in worker processes
 (``run_plan``), with the same rows under every start method; a run that
-raises, or whose worker dies, fails alone, and the plan goes on.
+raises, or whose worker dies, fails alone, and the plan goes on.  The
+budgets of one seed of a budget-free algorithm share one run, so those
+rows' wall times overlap; every other column is the run's alone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .mechanism import DecisionVector, MechanismConfig, profile_arrays, theta_grid
 from .objective import ObjectiveSpec, evaluate, make_objective, require_finite_cost
-from .optimizers import ALGORITHM_NAMES, PARAMS, STEPS, RunResult, lockstep
+from .optimizers import ALGORITHM_NAMES, BUDGET_FREE, PARAMS, STEPS, RunResult, lockstep
 from .optimizers.bga import chromosome_length
 from .optimizers.common import require_finite, require_integers, require_seed
 
@@ -149,12 +151,14 @@ class SummaryRow:
 
 
 def _row(cfg, spec, run, outcome) -> ResultRow:
-    """The row of one run, from its RunResult or from the exception that
-    ended it ("Type: message" in a failed row); a run is (algorithm,
+    """The row of one run, from the RunResult of a run at its budget or
+    longer (read at its budget, ``RunResult.first``) or from the exception
+    that ended it ("Type: message" in a failed row); a run is (algorithm,
     budget, experiment, seed, params, generator)."""
     try:
         if isinstance(outcome, Exception):
             raise outcome
+        outcome = outcome.first(run[1])
         dv = DecisionVector.from_array(outcome.best_x)
         cost = evaluate(cfg, dv, spec)
     except Exception as exc:
@@ -165,13 +169,23 @@ def _row(cfg, spec, run, outcome) -> ResultRow:
     )
 
 
-def _execute_share(cfg, spec, runs) -> list[ResultRow]:
-    """Run a worker's share of the plan in lockstep, one row per run."""
+def _execute_share(cfg, spec, groups) -> list[ResultRow]:
+    """Run a worker's share of the plan in lockstep: one generator per
+    group of runs, at the group's largest budget, and one row per run, in
+    the share's order, read off its group's run.  A group of several runs
+    whose run fails runs each of them again, alone."""
+    longest = [max(group, key=lambda run: run[1]) for group in groups]
     outcomes = lockstep(
         make_objective(cfg, spec),
-        [lambda tracked, g=g, p=p, s=s: g(tracked, spec.bounds, p, s) for _, _, _, s, p, g in runs],
+        [lambda tracked, g=g, p=p, s=s: g(tracked, spec.bounds, p, s) for _, _, _, s, p, g in longest],
     )
-    return [_row(cfg, spec, run, outcome) for run, outcome in zip(runs, outcomes)]
+    rows = []
+    for group, outcome in zip(groups, outcomes):
+        if isinstance(outcome, Exception) and len(group) > 1:
+            rows += _execute_share(cfg, spec, [[run] for run in group])
+        else:
+            rows += [_row(cfg, spec, run, outcome) for run in group]
+    return rows
 
 
 def require_jobs(jobs: int) -> None:
@@ -186,18 +200,26 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     Repeat r (1-based experiment number) always runs with seed
     base_seed + r - 1, for every algorithm and budget, mirroring the
     "same initial conditions per experiment column" reading of the
-    protocol.  The runs, in (algorithm, budget, experiment) order, are
-    dealt round-robin into min(jobs, runs) shares, and each worker runs
-    its share in lockstep (``optimizers.lockstep``), with the results each
-    run would have alone.  Rows come back in that order regardless of
-    ``jobs``.  Each run carries its generator, read from ``STEPS`` here and
-    pickled by reference, so a plan gives the same rows under every start
-    method.  Each share runs on a one-worker pool of its own, ``jobs``
-    pools at a time.  A share that fails as a whole, because its worker
-    process crashed (BrokenProcessPool), one of its generators does not
-    pickle, or it raised, loses only its own runs: each run of that share
-    runs once more on a pool of its own, and one that fails again fails
-    its row, with the reason.  The plan goes on.
+    protocol.  The runs of one seed of a budget-free algorithm
+    (``optimizers.BUDGET_FREE``) form one group, which runs once, at its
+    largest budget, and each of its rows is read off that run at its own
+    budget (``RunResult.first``), as the run at that budget would give it;
+    every other run is a group of its own.  The groups, in the order of
+    their first run, are dealt round-robin into min(jobs, groups) shares,
+    and each worker runs its share in lockstep (``optimizers.lockstep``),
+    with the results each run would have alone.  Rows come back in
+    (algorithm, budget, experiment) order regardless of ``jobs``.  Each
+    run carries its generator, read from ``STEPS`` here and pickled by
+    reference, so a plan gives the same rows under every start method.
+
+    Each share runs on a one-worker pool of its own, ``jobs`` pools at a
+    time.  A group whose run raises runs each of its runs again, alone, in
+    its worker.  A share that fails as a whole, because its worker process
+    crashed (BrokenProcessPool), one of its generators does not pickle, or
+    it raised, loses only its own runs: each of them runs once more on a
+    pool of its own, and one that fails again fails its row, with the
+    reason.  So every row, ok or failed, is the one the run gives alone,
+    and the plan goes on.
     """
     require_jobs(jobs)
     cfg, spec = plan.mechanism, plan.objective
@@ -207,23 +229,31 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
         for b in plan.iteration_budgets
         for r in range(plan.repeats)
     ]
-    workers = min(jobs, len(runs))
-    shares = [range(w, len(runs), workers) for w in range(workers)]
+    keyed: dict[tuple, list[int]] = {}
+    for i, (a, b, _, seed, _, _) in enumerate(runs):
+        keyed.setdefault((a, seed, None if a in BUDGET_FREE else b), []).append(i)
+    groups = list(keyed.values())
+    workers = min(jobs, len(groups))
+    shares = [groups[w::workers] for w in range(workers)]
     rows = [None] * len(runs)
     while shares:
         wave, shares = shares[:jobs], shares[jobs:]
         with ExitStack() as stack:
             pools = [stack.enter_context(ProcessPoolExecutor(max_workers=1)) for _ in wave]
-            futures = [p.submit(_execute_share, cfg, spec, [runs[i] for i in s]) for p, s in zip(pools, wave)]
+            futures = [
+                p.submit(_execute_share, cfg, spec, [[runs[i] for i in group] for group in share])
+                for p, share in zip(pools, wave)
+            ]
         for future, share in zip(futures, wave):
+            members = [i for group in share for i in group]
             try:
                 part = future.result()
             except Exception as exc:
-                if len(share) > 1:
-                    shares += [[i] for i in share]
+                if len(members) > 1:
+                    shares += [[[i]] for i in members]
                     continue
-                part = [_row(cfg, spec, runs[i], exc) for i in share]
-            for i, row in zip(share, part):
+                part = [_row(cfg, spec, runs[i], exc) for i in members]
+            for i, row in zip(members, part):
                 rows[i] = row
     return rows
 

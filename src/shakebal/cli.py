@@ -231,6 +231,14 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, which a cpuset
+    narrows), where the platform tells, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="shakebal",
@@ -266,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = add("bench", cmd_bench, "run the full benchmark campaign", writes_files=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel runs")
+    p.add_argument("--jobs", type=int, default=usable_cpus(), help="parallel workers, one per usable CPU unless given")
 
     p = add("profile", cmd_profile, "polar cost profiles for named solutions", writes_files=True)
     p.add_argument("--solutions", required=True, help="CSV of solutions (name,m1,m2,phi1,phi2)")

@@ -23,8 +23,8 @@ The cost has two kernels with one result: a scalar one for single points
 for bit.  Both take the (m, phi) -> u map and the u-affine rows of
 ``HarmonicTable``, as ``calibrate_bounds`` does, and the cost assembly
 ``_assemble``; only their cut kernels differ.  Both stay, since one scalar
-call takes about 36.6 us and a 1-row ``batch`` 0.71 ms (``BENCH_15.json``:
-2-vCPU x86-64, Python 3.11, numpy 2.4).
+call takes about 31.9 us and a 1-row ``batch`` 0.647 ms (``BENCH_22.json``,
+change tree: 2-vCPU x86-64, Python 3.11, numpy 2.4).
 
 ``polar_area`` is the periodic rectangle rule for radii sampled on a grid,
 such as the plotted profiles of ``polar.csv``; the cost does not use it.

@@ -28,6 +28,11 @@ PARAMS = {
 
 ALGORITHM_NAMES = tuple(STEPS)
 
+# the algorithms whose update rule never reads the iteration budget, so that
+# a run at budget b is bit for bit the first b iterations of a longer run of
+# its seed (``RunResult.first``); PSO and HGAPSO anneal their inertia over it
+BUDGET_FREE = frozenset({"abc", "bga"})
+
 # name -> one run, (objective, bounds, params, seed, *hooks) -> RunResult
 OPTIMIZERS = {name: partial(single_run, steps) for name, steps in STEPS.items()}
 optimize_pso, optimize_abc, optimize_bga, optimize_hgapso = OPTIMIZERS.values()
@@ -36,6 +41,7 @@ __all__ = [
     "AbcParams",
     "ALGORITHM_NAMES",
     "BgaParams",
+    "BUDGET_FREE",
     "Bounds",
     "HgapsoParams",
     "NonFiniteObjectiveError",

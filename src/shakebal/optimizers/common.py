@@ -141,12 +141,19 @@ class Bounds:
 class RunResult:
     """Outcome of one seeded optimizer run.
 
-    trace       best-so-far objective value: entry 0 after the initial
-                population evaluation, then one entry per iteration
-                (length = iterations + 1, non-increasing)
-    wall_time   seconds attributed to the run (see :func:`lockstep`)
-    time_trace  seconds attributed to the run by the end of each iteration
-                (length = iterations, non-decreasing, ending at wall_time)
+    trace             best-so-far objective value: entry 0 after the initial
+                      population evaluation, then one entry per iteration
+                      (length = iterations + 1, non-increasing)
+    wall_time         seconds attributed to the run (see :func:`lockstep`)
+    time_trace        seconds attributed to the run by the end of each
+                      iteration (length = iterations, non-decreasing,
+                      ending at wall_time)
+    best_x_trace      the incumbent point at each entry of ``trace``
+                      (iterations + 1, d)
+    evaluation_trace  the evaluations counted by each entry of ``trace``
+                      (length = iterations + 1, ending at evaluations)
+
+    ``first(b)`` reads the run's first b iterations off these traces.
     """
 
     best_x: np.ndarray
@@ -155,6 +162,28 @@ class RunResult:
     evaluations: int
     wall_time: float
     time_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    best_x_trace: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    evaluation_trace: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
+
+    def first(self, iterations: int) -> RunResult:
+        """The record of this run as it stood after its first
+        ``iterations`` iterations: the whole RunResult of a run at that
+        budget, for an optimizer whose update rule never reads its budget
+        (``optimizers.BUDGET_FREE``), with the seconds this run was charged
+        by then."""
+        if not 1 <= iterations <= self.time_trace.size:
+            raise ValueError(f"iterations must be in [1, {self.time_trace.size}] (got {iterations})")
+        end = iterations + 1
+        return RunResult(
+            best_x=self.best_x_trace[iterations].copy(),
+            best_f=float(self.trace[iterations]),
+            trace=self.trace[:end],
+            evaluations=int(self.evaluation_trace[iterations]),
+            wall_time=float(self.time_trace[iterations - 1]),
+            time_trace=self.time_trace[:iterations],
+            best_x_trace=self.best_x_trace[:end],
+            evaluation_trace=self.evaluation_trace[:end],
+        )
 
 
 def score(fn, X: np.ndarray) -> np.ndarray:
@@ -170,11 +199,15 @@ class TrackedObjective:
     """The record of one run around the raw objective: counts evaluations,
     keeps the incumbent (first strict improvement, in the order values are
     recorded), rejects non-finite values with a diagnostic naming the
-    offending point, and collects the best-so-far and timing traces from
-    its checkpoints.  ``seconds`` is the time charged to the run so far
-    (:func:`lockstep` adds it)."""
+    offending point, and collects the run's traces from its checkpoints:
+    the incumbent's value and point, the evaluation count and the seconds
+    charged to the run so far (``seconds``, which :func:`lockstep` adds).
+    Each improvement stores a new incumbent array, and none is changed in
+    place, so the point trace keeps references, not copies."""
 
-    __slots__ = ("fn", "evaluations", "best_f", "best_x", "trace", "time_trace", "seconds")
+    __slots__ = (
+        "fn", "evaluations", "best_f", "best_x", "trace", "time_trace", "best_x_trace", "evaluation_trace", "seconds",
+    )
 
     def __init__(self, fn):
         self.fn = fn
@@ -183,6 +216,8 @@ class TrackedObjective:
         self.best_x = None
         self.trace: list[float] = []
         self.time_trace: list[float] = []
+        self.best_x_trace: list[np.ndarray] = []
+        self.evaluation_trace: list[int] = []
         self.seconds = 0.0
 
     def __call__(self, x: np.ndarray) -> float:
@@ -208,12 +243,15 @@ class TrackedObjective:
         return values
 
     def checkpoint(self) -> None:
-        """Append the incumbent's value to the trace.  Every checkpoint but
-        the first (taken after the initial population) ends an iteration
-        and also records the seconds charged to the run so far."""
+        """Append the incumbent's value and point and the evaluation count
+        to the traces.  Every checkpoint but the first (taken after the
+        initial population) ends an iteration and also records the seconds
+        charged to the run so far."""
         if self.trace:
             self.time_trace.append(self.seconds)
         self.trace.append(self.best_f)
+        self.best_x_trace.append(self.best_x)
+        self.evaluation_trace.append(self.evaluations)
 
     def finish(self) -> RunResult:
         return RunResult(
@@ -223,6 +261,8 @@ class TrackedObjective:
             evaluations=self.evaluations,
             wall_time=self.seconds,
             time_trace=np.array(self.time_trace),
+            best_x_trace=np.array(self.best_x_trace, dtype=float),
+            evaluation_trace=np.array(self.evaluation_trace),
         )
 
 

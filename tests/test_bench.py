@@ -9,6 +9,7 @@ import math
 import os
 import re
 from concurrent.futures import Future
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,8 @@ from shakebal.bench import (
 )
 from shakebal.mechanism import DecisionVector, MechanismConfig
 from shakebal.objective import ObjectiveSpec, default_search_bounds
-from shakebal.optimizers import STEPS, AbcParams, BgaParams, HgapsoParams, PsoParams, RunResult, lockstep
+from shakebal.optimizers import BUDGET_FREE, STEPS, AbcParams, BgaParams, HgapsoParams, PsoParams, RunResult, lockstep
+from shakebal.optimizers.abc_colony import abc_steps
 from shakebal.optimizers.pso import pso_steps
 
 from _oracles import polar_area_oracle
@@ -90,6 +92,26 @@ def crash_on_seed_1(tracked, bounds, params, seed):
     if seed == 1:
         os._exit(3)
     return pso_steps(tracked, bounds, params, seed)
+
+
+def refuse():
+    raise RuntimeError("refused an iteration")
+
+
+def abc_ending_after(iterations, end, tracked, bounds, params, seed):
+    """ABC's run, which calls ``end`` when it is sent the values of its
+    iteration ``iterations + 1``: a budget-free roster entry whose runs at
+    budgets up to ``iterations`` are ABC's, and whose longer runs fail."""
+    steps = abc_steps(tracked, bounds, params, seed)
+    values = None
+    while True:
+        if len(tracked.trace) > iterations:
+            end()
+        try:
+            X = steps.send(values)
+        except StopIteration:
+            return
+        values = yield X
 
 
 def tiny_plan(**overrides) -> ExperimentPlan:
@@ -154,8 +176,51 @@ def test_one_process_runs_the_plan_in_one_lockstep(monkeypatch, serial_pool):
     monkeypatch.setattr(bench, "lockstep", counted)
     rows = run_plan(tiny_plan(iteration_budgets=(5, 10)), jobs=1)
     assert serial_pool == [1]
-    assert sizes == [2 * 2 * 2]
+    # 4 PSO runs, and one ABC run per seed at budget 10 for both budgets
+    assert sizes == [2 * 2 + 2]
     assert [r.status for r in rows] == ["ok"] * 8
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_shared_budgets_give_the_rows_of_separate_runs(tmp_path, jobs):
+    # abc and bga run once per seed, at budget 10, for budgets 5 and 10
+    assert {"abc", "bga"} <= BUDGET_FREE
+    plan = tiny_plan(algorithms=tuple(TINY_PARAMS), iteration_budgets=(10, 5), repeats=2)
+    rows = run_plan(plan, jobs=jobs)
+    apart = [row for b in (10, 5) for row in run_plan(dataclasses.replace(plan, iteration_budgets=(b,)))]
+    apart.sort(key=lambda r: (list(TINY_PARAMS).index(r.algorithm), -r.budget))
+    assert [r.status for r in rows] == ["ok"] * 16
+    for name, emit in (("results", write_results), ("convergence", emit_convergence), ("runtime", emit_runtime_growth)):
+        emit(rows, tmp_path / f"{name}.csv")
+        emit(apart, tmp_path / f"{name}-apart.csv")
+    assert results_equal_modulo_time(tmp_path / "results.csv", tmp_path / "results-apart.csv")
+    assert (tmp_path / "convergence.csv").read_bytes() == (tmp_path / "convergence-apart.csv").read_bytes()
+
+    def keys(name):
+        with open(tmp_path / name, newline="") as fh:
+            return [rec[:3] for rec in csv.reader(fh)]
+
+    assert keys("runtime.csv") == keys("runtime-apart.csv")
+    for row, alone in zip(rows, apart):
+        assert row.result.evaluations == alone.result.evaluations
+        assert np.array_equal(row.result.evaluation_trace, alone.result.evaluation_trace)
+        assert row.wall_time_s == row.result.time_trace[-1]
+
+
+@pytest.mark.parametrize("end", [refuse, partial(os._exit, 3)], ids=["raises", "dies"])
+def test_a_shared_run_that_ends_early_leaves_the_shorter_rows_alone(tmp_path, monkeypatch, pools, end):
+    alone = run_plan(tiny_plan(algorithms=("abc",)), jobs=1)
+    monkeypatch.setitem(STEPS, "abc", partial(abc_ending_after, 10, end))
+    rows = run_plan(tiny_plan(algorithms=("abc",), iteration_budgets=(10, 20)), jobs=1)
+    assert [(r.budget, r.status) for r in rows] == [(10, "ok"), (10, "ok"), (20, "failed"), (20, "failed")]
+    # the reason each 20-iteration run gives alone
+    reason = "RuntimeError: refused an iteration" if end is refuse else "BrokenProcessPool: "
+    assert all(r.error.startswith(reason) for r in rows[2:])
+    write_results(rows[:2], tmp_path / "rows.csv")
+    write_results(alone, tmp_path / "alone.csv")
+    assert results_equal_modulo_time(tmp_path / "rows.csv", tmp_path / "alone.csv")
+    for row, solo in zip(rows, alone):
+        assert np.array_equal(row.result.trace, solo.result.trace)
 
 
 def test_an_algorithm_is_added_by_its_roster_entry_alone(monkeypatch, pools):

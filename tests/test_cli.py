@@ -260,6 +260,12 @@ def test_bench_rejects_jobs_below_one_before_any_output(fast_cfg, tmp_path, caps
     assert not out.exists()
 
 
+def test_bench_jobs_default_to_the_cpus_this_process_may_use(monkeypatch):
+    # a process pinned to one CPU of a larger machine starts one worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.build_parser().parse_args(["bench"]).jobs == 1
+
+
 def test_bench_rejects_a_cost_that_can_overflow_before_any_output(tmp_path, capsys):
     cfg = tmp_path / "doomed.cfg"
     cfg.write_text(FAST_CFG + "objective.c1_max = 1e-320\n")

@@ -16,6 +16,7 @@ from shakebal.mechanism import MechanismConfig
 from shakebal.objective import ObjectiveSpec, make_objective
 from shakebal.optimizers import (
     ALGORITHM_NAMES,
+    BUDGET_FREE,
     OPTIMIZERS,
     PARAMS,
     STEPS,
@@ -40,7 +41,7 @@ from shakebal.optimizers import (
 )
 from shakebal.optimizers.abc_colony import colony_fitness, move_draws
 from shakebal.optimizers.bga import breed, rank_probabilities, replayed_draws
-from shakebal.optimizers.common import TrackedObjective, score
+from shakebal.optimizers.common import RunResult, TrackedObjective, score, single_run
 from shakebal.testfns import hypercube_bounds, rastrigin, sphere
 
 from _oracles import abc_oracle, breed_oracle
@@ -668,6 +669,45 @@ def test_a_runs_wall_time_is_its_last_checkpoint(name):
     result = optimize(sphere, BOX, params, 1)
     assert len(result.trace) == params.iterations + 1
     assert result.wall_time == result.time_trace[-1]
+
+
+@pytest.mark.parametrize("name", list(STEPS))
+def test_exactly_the_budget_free_runs_are_the_start_of_longer_ones(name):
+    spec = ObjectiveSpec()
+    objective = make_objective(MechanismConfig(), spec)
+    short, long = (
+        single_run(STEPS[name], objective, spec.bounds, PARAMS[name](iterations=b), 7) for b in (15, 30)
+    )
+    start = long.first(15)
+    same = (
+        np.array_equal(start.trace, short.trace)
+        and np.array_equal(start.best_x, short.best_x)
+        and start.best_f == short.best_f
+        and start.evaluations == short.evaluations
+        and np.array_equal(start.best_x_trace, short.best_x_trace)
+        and np.array_equal(start.evaluation_trace, short.evaluation_trace)
+    )
+    # PSO and HGAPSO anneal their inertia over the budget, so they differ
+    assert same == (name in BUDGET_FREE)
+
+
+def test_first_reads_the_record_at_an_iteration():
+    result = optimize_abc(sphere, BOX, AbcParams(food_sources=10, iterations=40), 1)
+    assert result.best_x_trace.shape == (41, 4)
+    assert result.evaluation_trace[-1] == result.evaluations
+    assert np.array_equal(result.best_x_trace[-1], result.best_x)
+    part = result.first(10)
+    assert part.trace.tolist() == result.trace[:11].tolist()
+    assert part.best_f == result.trace[10]
+    assert part.evaluations == result.evaluation_trace[10]
+    assert part.time_trace.tolist() == result.time_trace[:10].tolist()
+    assert part.wall_time == result.time_trace[9]
+    whole = result.first(40)
+    for f in dataclasses.fields(RunResult):
+        assert np.array_equal(getattr(whole, f.name), getattr(result, f.name))
+    for iterations in (0, 41):
+        with pytest.raises(ValueError, match=rf"^iterations must be in \[1, 40\] \(got {iterations}\)$"):
+            result.first(iterations)
 
 
 def test_phase_draws_match_the_per_move_calls():

@@ -293,7 +293,8 @@ def main() -> None:
 
     record = {
         "host": {
-            "nproc": os.cpu_count(),
+            # the CPUs this process may use, which ``shakebal bench`` defaults --jobs to
+            "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1,
             "python": platform.python_version(),
             "numpy": np.__version__,
             "machine": platform.machine(),
