@@ -17,9 +17,9 @@ column list is named once, in its ``*_HEADER`` constant:
 
 Failed runs stay in the results table as rows with status "failed" (empty
 numeric fields) so experiment numbers remain aligned with seeds; they are
-excluded from the statistics.  Every plan runs in worker processes
-(``run_plan``), with the same rows under every start method; a run that
-raises, or whose worker dies, fails alone, and the plan goes on.  The
+excluded from the statistics.  Every plan runs in worker processes, and
+``run_plan`` builds every row, the same under every start method; a run
+that raises, or whose worker dies, fails alone, and the plan goes on.  The
 budgets of one seed of a budget-free algorithm share one run, so those
 rows' wall times overlap; every other column is the run's alone.
 """
@@ -150,42 +150,39 @@ class SummaryRow:
     worst: float
 
 
+def _reason(exc: Exception) -> str:
+    """How a failed row names its failure: "Type: message"."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _row(cfg, spec, run, outcome) -> ResultRow:
-    """The row of one run, from the RunResult of a run at its budget or
-    longer (read at its budget, ``RunResult.first``) or from the exception
-    that ended it ("Type: message" in a failed row); a run is (algorithm,
-    budget, experiment, seed, params, generator)."""
+    """The row of one run (algorithm, budget, experiment, seed, params,
+    generator) from its group's outcome: the RunResult, read at the run's
+    budget (``RunResult.first``), or the reason the run failed."""
+    if isinstance(outcome, str):
+        return ResultRow(*run[:4], status="failed", error=outcome)
     try:
-        if isinstance(outcome, Exception):
-            raise outcome
-        outcome = outcome.first(run[1])
-        dv = DecisionVector.from_array(outcome.best_x)
+        result = outcome.first(run[1])
+        dv = DecisionVector.from_array(result.best_x)
         cost = evaluate(cfg, dv, spec)
     except Exception as exc:
-        return ResultRow(*run[:4], status="failed", error=f"{type(exc).__name__}: {exc}")
+        return _row(cfg, spec, run, _reason(exc))
     return ResultRow(
         *run[:4], dv.m_1, dv.m_2, dv.phi_1, dv.phi_2,
-        cost.raw_cost, cost.c1, cost.c2, cost.total, outcome.wall_time, result=outcome,
+        cost.raw_cost, cost.c1, cost.c2, cost.total, result.wall_time, result=result,
     )
 
 
-def _execute_share(cfg, spec, groups) -> list[ResultRow]:
-    """Run a worker's share of the plan in lockstep: one generator per
-    group of runs, at the group's largest budget, and one row per run, in
-    the share's order, read off its group's run.  A group of several runs
-    whose run fails runs each of them again, alone."""
+def _execute_share(cfg, spec, groups) -> list:
+    """Run a worker's share in lockstep, one generator per group at the
+    group's largest budget: per group, its RunResult or the reason it
+    failed, as text, since an exception need not unpickle."""
     longest = [max(group, key=lambda run: run[1]) for group in groups]
     outcomes = lockstep(
         make_objective(cfg, spec),
         [lambda tracked, g=g, p=p, s=s: g(tracked, spec.bounds, p, s) for _, _, _, s, p, g in longest],
     )
-    rows = []
-    for group, outcome in zip(groups, outcomes):
-        if isinstance(outcome, Exception) and len(group) > 1:
-            rows += _execute_share(cfg, spec, [[run] for run in group])
-        else:
-            rows += [_row(cfg, spec, run, outcome) for run in group]
-    return rows
+    return [_reason(o) if isinstance(o, Exception) else o for o in outcomes]
 
 
 def require_jobs(jobs: int) -> None:
@@ -202,24 +199,22 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
     "same initial conditions per experiment column" reading of the
     protocol.  The runs of one seed of a budget-free algorithm
     (``optimizers.BUDGET_FREE``) form one group, which runs once, at its
-    largest budget, and each of its rows is read off that run at its own
-    budget (``RunResult.first``), as the run at that budget would give it;
-    every other run is a group of its own.  The groups, in the order of
-    their first run, are dealt round-robin into min(jobs, groups) shares,
-    and each worker runs its share in lockstep (``optimizers.lockstep``),
-    with the results each run would have alone.  Rows come back in
-    (algorithm, budget, experiment) order regardless of ``jobs``.  Each
-    run carries its generator, read from ``STEPS`` here and pickled by
+    largest budget; every other run is a group of its own.  The groups, in
+    the order of their first run, are dealt round-robin into min(jobs,
+    groups) shares, and each worker runs its share in lockstep
+    (``optimizers.lockstep``), with the results each run would have alone.
+    Every row is built here, read off its group's run at its own budget
+    (``_row``), in (algorithm, budget, experiment) order at any ``jobs``.
+    Each run carries its generator, read from ``STEPS`` here and pickled by
     reference, so a plan gives the same rows under every start method.
 
     Each share runs on a one-worker pool of its own, ``jobs`` pools at a
-    time.  A group whose run raises runs each of its runs again, alone, in
-    its worker.  A share that fails as a whole, because its worker process
-    crashed (BrokenProcessPool), one of its generators does not pickle, or
-    it raised, loses only its own runs: each of them runs once more on a
-    pool of its own, and one that fails again fails its row, with the
-    reason.  So every row, ok or failed, is the one the run gives alone,
-    and the plan goes on.
+    time.  A failed outcome that covers more than one run reruns each of
+    those runs alone, on a pool of its own: a shared run that raised, or a
+    share whose worker crashed (BrokenProcessPool), one of whose
+    generators does not pickle, or that raised.  A run that fails alone
+    fails its row, with the reason.  So every row, ok or failed, is the
+    one the run gives alone, and the plan goes on.
     """
     require_jobs(jobs)
     cfg, spec = plan.mechanism, plan.objective
@@ -245,16 +240,16 @@ def run_plan(plan: ExperimentPlan, jobs: int = 1) -> list[ResultRow]:
                 for p, share in zip(pools, wave)
             ]
         for future, share in zip(futures, wave):
-            members = [i for group in share for i in group]
             try:
-                part = future.result()
+                outcomes = future.result()
             except Exception as exc:
-                if len(members) > 1:
-                    shares += [[[i]] for i in members]
-                    continue
-                part = [_row(cfg, spec, runs[i], exc) for i in members]
-            for i, row in zip(members, part):
-                rows[i] = row
+                share, outcomes = [[i for group in share for i in group]], [_reason(exc)]
+            for group, outcome in zip(share, outcomes):
+                if isinstance(outcome, str) and len(group) > 1:
+                    shares += [[[i]] for i in group]
+                else:
+                    for i in group:
+                        rows[i] = _row(cfg, spec, runs[i], outcome)
     return rows
 
 
@@ -310,8 +305,9 @@ def write_results(rows: list[ResultRow], path) -> None:
 
 
 def parse_results(path) -> list[ResultRow]:
-    """Read results.csv back, refusing a record of the wrong length or
-    status by its path:line; traces are not recoverable from the file."""
+    """Read results.csv back, refusing by its path:line a record of the
+    wrong length or status, or whose numeric fields are not all empty if
+    failed and all given if ok; traces are not recoverable from the file."""
     types = {f.name: f.type for f in dataclasses.fields(ResultRow)}
     parse = {"str": str, "int": int, "float | None": lambda t: None if t == "" else float(t)}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -319,8 +315,10 @@ def parse_results(path) -> list[ResultRow]:
         (_, header), *records = [(reader.line_num, rec) for rec in reader]
     if header != RESULTS_HEADER:
         raise ValueError(f"unexpected results header {header}")
+    floats = [header.index(name) for name in _float_columns(ResultRow)]
     for line, rec in records:
-        if len(rec) != len(header) or rec[-1] not in ("ok", "failed"):
+        status = rec[-1] if len(rec) == len(header) else None
+        if status not in ("ok", "failed") or {rec[k] == "" for k in floats} != {status == "failed"}:
             raise ValueError(f"{path}:{line}: malformed results record {rec}")
     return [ResultRow(**{n: parse[types[n]](t) for n, t in zip(header, rec)}) for _, rec in records]
 

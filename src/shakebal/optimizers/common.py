@@ -91,6 +91,10 @@ class NonFiniteObjectiveError(RuntimeError):
         self.value = value
         super().__init__(f"objective returned non-finite value {value!r} at point {self.point.tolist()}")
 
+    def __reduce__(self):
+        # rebuilt from both arguments, so it crosses a process boundary
+        return type(self), (self.point, self.value)
+
 
 @dataclass
 class Bounds:

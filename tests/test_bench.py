@@ -210,9 +210,13 @@ def test_shared_budgets_give_the_rows_of_separate_runs(tmp_path, jobs):
 @pytest.mark.parametrize("end", [refuse, partial(os._exit, 3)], ids=["raises", "dies"])
 def test_a_shared_run_that_ends_early_leaves_the_shorter_rows_alone(tmp_path, monkeypatch, pools, end):
     alone = run_plan(tiny_plan(algorithms=("abc",)), jobs=1)
+    pools.clear()
     monkeypatch.setitem(STEPS, "abc", partial(abc_ending_after, 10, end))
     rows = run_plan(tiny_plan(algorithms=("abc",), iteration_budgets=(10, 20)), jobs=1)
     assert [(r.budget, r.status) for r in rows] == [(10, "ok"), (10, "ok"), (20, "failed"), (20, "failed")]
+    # one rule whether the shared run raised or its worker died: the share,
+    # then each of its 4 runs alone on a pool of its own
+    assert pools == [1] * 5
     # the reason each 20-iteration run gives alone
     reason = "RuntimeError: refused an iteration" if end is refuse else "BrokenProcessPool: "
     assert all(r.error.startswith(reason) for r in rows[2:])
@@ -221,6 +225,14 @@ def test_a_shared_run_that_ends_early_leaves_the_shorter_rows_alone(tmp_path, mo
     assert results_equal_modulo_time(tmp_path / "rows.csv", tmp_path / "alone.csv")
     for row, solo in zip(rows, alone):
         assert np.array_equal(row.result.trace, solo.result.trace)
+
+
+def test_a_shared_run_crosses_back_from_its_worker_once(pools):
+    # the worker returns the seed's one RunResult, and both of its rows are
+    # read off it in this process
+    short, long = run_plan(tiny_plan(algorithms=("abc",), iteration_budgets=(5, 10), repeats=1), jobs=1)
+    assert (short.budget, long.budget) == (5, 10)
+    assert np.shares_memory(short.result.trace, long.result.trace)
 
 
 def test_an_algorithm_is_added_by_its_roster_entry_alone(monkeypatch, pools):
@@ -404,6 +416,12 @@ def test_summarize_single_row_group():
     assert all(s.average == s.best == s.worst for s in summary)
 
 
+def ok_row(algorithm, budget, k, total_cost, wall_time_s) -> ResultRow:
+    """An ok row of experiment and seed k with every numeric field given,
+    as ``parse_results`` requires; the fields not named are 0.0."""
+    return ResultRow(algorithm, budget, k, k, *[0.0] * 7, total_cost, wall_time_s)
+
+
 # Cost column of the published PSO group at budget 200; used purely as a
 # format fixture for the emit -> parse -> summarize round trip.
 PSO_200_COSTS = [
@@ -413,10 +431,7 @@ PSO_200_COSTS = [
 
 
 def test_published_pso_group_round_trips(tmp_path):
-    rows = [
-        ResultRow("pso", 200, k + 1, k + 1, total_cost=c, wall_time_s=0.0, status="ok")
-        for k, c in enumerate(PSO_200_COSTS)
-    ]
+    rows = [ok_row("pso", 200, k + 1, c, 0.0) for k, c in enumerate(PSO_200_COSTS)]
     write_results(rows, tmp_path / "results.csv")
     back = parse_results(tmp_path / "results.csv")
     assert [r.total_cost for r in back] == PSO_200_COSTS
@@ -433,7 +448,7 @@ def test_summary_round_trip_is_exact(tmp_path):
 
 def test_float_formatting_round_trips(tmp_path):
     value = 1.0 / 3.0 * 29853.2971
-    rows = [ResultRow("pso", 10, 1, 1, total_cost=value, wall_time_s=0.0, status="ok")]
+    rows = [ok_row("pso", 10, 1, value, 0.0)]
     write_results(rows, tmp_path / "results.csv")
     assert parse_results(tmp_path / "results.csv")[0].total_cost == value
 
@@ -477,8 +492,14 @@ def test_every_results_column_round_trips(tmp_path, unchecked_overflow):
         "pso,10,2,2",
         "pso,10,2,2,,,,,,,,,,failed,",
         "pso,10,2,2,,,,,,,,,,done",
+        "pso,10,2,2,,,,,,,,,,ok",
+        "pso,10,2,2,1.0,2.0,0.5,1.5,3.0,0.0,0.0,3.0,,ok",
+        "pso,10,2,2,1.0,,,,,,,,,failed",
     ],
-    ids=["too-few-fields", "a-field-too-many", "no-such-status"],
+    ids=[
+        "too-few-fields", "a-field-too-many", "no-such-status",
+        "ok-without-costs", "ok-without-time", "failed-with-a-cost",
+    ],
 )
 def test_a_malformed_results_record_is_refused(tmp_path, record):
     path = tmp_path / "results.csv"

@@ -3,9 +3,12 @@ for the four minimizers."""
 
 import dataclasses
 import json
+import multiprocessing
+import pickle
 import re
 import time
 import typing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -367,6 +370,29 @@ def test_non_finite_objective_aborts_with_diagnostic(name):
     with pytest.raises(NonFiniteObjectiveError) as err:
         optimize(poisoned, BOX, params, seed=9)
     assert "nan" in str(err.value)
+    assert err.value.point.shape == (4,)
+
+
+def nan_everywhere(x):
+    """A non-finite objective at module level, which a worker started by
+    any start method unpickles by reference."""
+    return np.nan
+
+
+def test_a_non_finite_objective_error_pickles():
+    err = pickle.loads(pickle.dumps(NonFiniteObjectiveError(np.array([1.0, -2.0, 0.5, 3.0]), np.inf)))
+    assert str(err) == "objective returned non-finite value inf at point [1.0, -2.0, 0.5, 3.0]"
+    assert err.point.tolist() == [1.0, -2.0, 0.5, 3.0]
+    assert err.value == np.inf
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_a_non_finite_objective_error_crosses_back_from_a_worker(method):
+    # the error the run raises, not a broken pool
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method)) as pool:
+        future = pool.submit(optimize_pso, nan_everywhere, BOX, PsoParams(population=4, iterations=2), 1)
+        with pytest.raises(NonFiniteObjectiveError, match="non-finite value nan") as err:
+            future.result()
     assert err.value.point.shape == (4,)
 
 
