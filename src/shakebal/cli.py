@@ -25,8 +25,8 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .config import AppConfig, ConfigError, named_key, optimizer_params_map, parse_config, read_assignments
-from .mechanism import DecisionVector, require_grid_size
-from .objective import calibrate_bounds, require_finite_cost
+from .mechanism import DecisionVector, MechanismConfig, require_grid_size
+from .objective import ObjectiveSpec, calibrate_bounds, require_finite_cost
 from .optimizers import ALGORITHM_NAMES
 from .optimizers.common import require_seed
 
@@ -80,7 +80,24 @@ def _prepare_outputs(out_dir: str, names: list[str], force: bool) -> dict[str, P
 
 
 def _plan(config: AppConfig, **settings) -> bench_mod.ExperimentPlan:
-    """A campaign over the config's mechanism, objective and optimizers."""
+    """A campaign over the config's mechanism, objective and optimizers.
+
+    The default constraint bounds were calibrated on the default
+    mechanism, so a one-line notice on stderr names each bound that a
+    config with another mechanism leaves at its default.
+    """
+    defaults = ObjectiveSpec()
+    borrowed = [
+        f"objective.{key}" for key in ("c1_max", "c2_max")
+        if getattr(config.objective, key) == getattr(defaults, key)
+    ]
+    if borrowed and config.mechanism != MechanismConfig():
+        print(
+            f"note: default bounds on a non-default mechanism: {', '.join(borrowed)}"
+            " (calibrated on the default mechanism; `shakebal calibrate` recommends"
+            " bounds for this one)",
+            file=sys.stderr,
+        )
     return bench_mod.ExperimentPlan(
         **settings, mechanism=config.mechanism, objective=config.objective,
         optimizer_params=optimizer_params_map(config),

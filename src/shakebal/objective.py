@@ -23,7 +23,7 @@ The cost has two kernels with one result: a scalar one for single points
 for bit.  Both take the (m, phi) -> u map and the u-affine rows of
 ``HarmonicTable``, as ``calibrate_bounds`` does, and the cost assembly
 ``_assemble``; only their cut kernels differ.  Both stay, since one scalar
-call takes about 31.9 us and a 1-row ``batch`` 0.647 ms (``BENCH_22.json``,
+call takes about 25.3 us and a 1-row ``batch`` 0.445 ms (``BENCH_25.json``,
 change tree: 2-vCPU x86-64, Python 3.11, numpy 2.4).
 
 ``polar_area`` is the periodic rectangle rule for radii sampled on a grid,
@@ -347,17 +347,23 @@ def _abs_product_integral(p1, p2) -> float:
 def _columns(fn, *columns) -> np.ndarray:
     """A math function applied per element, as a float array.
 
-    numpy's hypot, arctan2, arctan, arccos and cbrt differ from libm's in
-    the last bit on some hosts (AVX-512 builds), so the batched kernel
-    sends hypot, atan2, atan, acos and the cube root through ``math`` per
-    element.  Its + - * / sqrt, cos and sin are numpy's, which agree with
-    ``math``.
+    numpy's arctan2, arctan, arccos and power differ from libm's in the
+    last bit on some hosts (AVX-512 builds), so the batched kernel sends
+    atan2, atan, acos and the cube root's pow through ``math`` per
+    element, each only on the rows whose value uses it.  Its + - * / sqrt,
+    cos and sin are numpy's, which agree with ``math``.
     """
-    return np.frompyfunc(fn, len(columns), 1)(*columns).astype(float)
+    values = map(fn, *(column.flat for column in columns))
+    return np.fromiter(values, float, columns[0].size).reshape(columns[0].shape)
 
 
 def _atan2_columns(s: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _columns(math.atan2, s, c)
+
+
+def _cbrt_columns(x: np.ndarray) -> np.ndarray:
+    """``_cbrt`` per element: the libm pow that its ``**`` calls."""
+    return np.copysign(_columns(math.pow, np.abs(x), np.full(x.shape, 1.0 / 3.0)), x)
 
 
 def _quartic_zero_columns(c1, s1, c2, s2) -> np.ndarray:
@@ -368,30 +374,57 @@ def _quartic_zero_columns(c1, s1, c2, s2) -> np.ndarray:
     pivots = np.array(_pivot_rows(*unit))
     # the first largest |lead|, as list.index(max(...)) takes it
     k = np.argmax(np.abs(pivots[:, 2] - pivots[:, 0]), axis=0)
-    shift, P, Q, R = _depressed_quartic(*np.take_along_axis(pivots, k[None, None], axis=0)[0])
+    shift, P, Q, R = _depressed_quartic(*np.choose(k, pivots))
     p, q, disc = _resolvent(P, Q, R)
-    # both branches on every row (math's functions pass NaN through), then one is kept
-    one = _one_real_root(p, q, disc, np.sqrt, partial(_columns, _cbrt), np.copysign)
-    rho = np.sqrt(_positive_part(-p / 3.0))
-    rho3 = rho * rho * rho
-    cos_3phi = np.where(rho3 > 0.0, np.clip(-0.5 * q / rho3, -1.0, 1.0), 1.0)
-    three = _largest_of_three(rho, cos_3phi, partial(_columns, math.acos), np.cos)
-    m = _positive_part(np.where(disc > 0.0, one, three) - P / 3.0)
-    y = np.stack(_ferrari_roots(P, Q, R, m, np.sqrt, np.copysign, _positive_part), axis=1)
-    t = 2.0 * _columns(math.atan, y - shift[:, None]) + np.take(_PIVOTS, k)[:, None]
-    value, slope = _value_and_slope(tuple(col[:, None] for col in unit), t, np.cos, np.sin)
-    return np.where(np.abs(value) < np.abs(slope), t - value / slope, t)
+    # each root branch on its own rows only; almost every row has disc > 0
+    one = disc > 0.0
+    if one.all():
+        z = _one_real_root(p, q, disc, np.sqrt, _cbrt_columns, np.copysign)
+    else:
+        z = np.empty(p.shape)
+        z[one] = _one_real_root(p[one], q[one], disc[one], np.sqrt, _cbrt_columns, np.copysign)
+        three = ~one
+        rho = np.sqrt(_positive_part(-p[three] / 3.0))
+        rho3 = rho * rho * rho
+        cos_3phi = np.where(rho3 > 0.0, np.clip(-0.5 * q[three] / rho3, -1.0, 1.0), 1.0)
+        z[three] = _largest_of_three(rho, cos_3phi, partial(_columns, math.acos), np.cos)
+    m = _positive_part(z - P / 3.0)
+    y = np.array(_ferrari_roots(P, Q, R, m, np.sqrt, np.copysign, _positive_part))
+    t = 2.0 * _columns(math.atan, y - shift) + np.take(_PIVOTS, k)
+    value, slope = _value_and_slope(unit, t, np.cos, np.sin)
+    return np.where(np.abs(value) < np.abs(slope), t - value / slope, t).T
 
 
 def _cut_integrals(p1, p2, zeros: np.ndarray) -> np.ndarray:
     """The tail of ``_abs_product_integral`` for rows whose zeros of p1,
     ``zeros`` (M, k), are known: add the zeros of p2, sort, sum."""
-    cuts = np.concatenate([zeros, np.stack(_line_zeros(*p2, _atan2_columns), axis=1)], axis=1)
-    cuts = np.sort(cuts % TWO_PI, axis=1)
+    cuts = np.concatenate([zeros.T, _line_zeros(*p2, _atan2_columns)])
+    cuts = np.sort(cuts % TWO_PI, axis=0)
     k = _antiderivative_coefficients(p1, p2)
-    # all cuts of all rows at once; then Q per cut is a column
-    (q,) = _antiderivative(tuple(col[:, None] for col in k), [cuts], np.cos, np.sin)
-    return _variation(k[0], list(q.T))
+    # all cuts of all rows at once, the i-th cut of every row in row i
+    (q,) = _antiderivative(k, [cuts], np.cos, np.sin)
+    return _variation(k[0], list(q))
+
+
+# The batched kernel takes each row's branch from the squared norms
+# n1 = c1**2 + s1**2 and n2 = c2**2 + s2**2, where the scalar kernel tests
+# h2 = hypot(c2, s2) > SECOND_HARMONIC_CUTOFF * h1.  A row is decided here
+# (``_abs_product_integrals``) only when n2 clears CUTOFF**2 * n1 by the
+# relative margin _BRANCH_MARGIN, and only when the larger side of the
+# test, n2 for the quartic and n1 for the line, is finite and at least
+# _NORM_FLOOR.  Why each such row gets the branch math.hypot gives it:
+# - a finite n had no overflow, so it is its exact value within 3 ulps,
+#   less at most two subnormals lost to underflow in the squares;
+# - on the larger side, >= 1e-290, those subnormals and the underflow of
+#   CUTOFF**2 * n1 are below 1e-17 of it;
+# - hypot and CUTOFF * h1 are within an ulp of their exact values.
+# So both tests sit within about 1e-15 of the exact comparison, which
+# cannot cross a margin of 1e-6.  The rest go to the scalar function: the
+# rows inside the margin, tiny, huge or not finite.
+_BRANCH_MARGIN = 1e-6
+_QUARTIC_ABOVE = SECOND_HARMONIC_CUTOFF**2 * (1.0 + _BRANCH_MARGIN)
+_LINE_BELOW = SECOND_HARMONIC_CUTOFF**2 * (1.0 - _BRANCH_MARGIN)
+_NORM_FLOOR = 1e-290
 
 
 def _abs_product_integrals(p1, p2) -> np.ndarray:
@@ -402,28 +435,30 @@ def _abs_product_integrals(p1, p2) -> np.ndarray:
     ``_quartic_zero_columns`` or ``_line_zeros``; every sum runs in the
     scalar order, and the transcendental functions that numpy rounds
     differently go through ``math`` per element (see ``_columns``).  Rows
-    with non-finite coefficients are handed to the scalar function, so
-    they give NaN exactly as it does.
+    whose branch is not decided here (see _BRANCH_MARGIN), non-finite ones
+    among them, are handed to the scalar function, so they give what it
+    gives, NaN included.
     """
     c1, s1, c2, s2, a, b = np.broadcast_arrays(*p1, *p2)
+    n1 = c1 * c1 + s1 * s1
+    n2 = c2 * c2 + s2 * s2
+    live = (a != 0.0) | (b != 0.0)
+    regular = live & np.isfinite(a) & np.isfinite(b)
+    quartic = regular & (n2 > _QUARTIC_ABOVE * n1) & (n2 >= _NORM_FLOOR) & (n2 < math.inf)
+    if quartic.all():
+        return _cut_integrals((c1, s1, c2, s2), (a, b), _quartic_zero_columns(c1, s1, c2, s2))
+    line = regular & (n2 < _LINE_BELOW * n1) & (n1 >= _NORM_FLOOR) & (n1 < math.inf)
 
     def rows(mask):
         return (c1[mask], s1[mask], c2[mask], s2[mask]), (a[mask], b[mask])
 
     out = np.zeros(c1.shape)
-    h1 = _columns(math.hypot, c1, s1)
-    h2 = _columns(math.hypot, c2, s2)
-    live = (a != 0.0) | (b != 0.0)
-    regular = live & np.isfinite(np.stack([c1, s1, c2, s2, a, b, h1 + h2])).all(axis=0)
-    quartic = regular & (h2 > SECOND_HARMONIC_CUTOFF * h1)
     if quartic.any():
         out[quartic] = _cut_integrals(*rows(quartic), _quartic_zero_columns(*rows(quartic)[0]))
-    # h1 == 0 here means p1 == 0, whose integral stays 0
-    line = regular & ~quartic & (h1 != 0.0)
     if line.any():
         zeros = np.stack(_line_zeros(c1[line], s1[line], _atan2_columns), axis=1)
         out[line] = _cut_integrals(*rows(line), zeros)
-    for i in np.flatnonzero(live & ~regular):
+    for i in np.flatnonzero(live & ~quartic & ~line):
         out[i] = _abs_product_integral(*(tuple(map(float, col)) for col in rows(i)))
     return out
 

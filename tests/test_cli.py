@@ -93,6 +93,29 @@ def test_balance_prints_solution_and_writes_files(fast_cfg, tmp_path, capsys):
     assert (out / "polar.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "settings, notice",
+    [
+        ("mechanism.m_p = 0.6\n", "objective.c1_max, objective.c2_max ("),
+        ("mechanism.m_p = 0.6\nobjective.c2_max = 3e5\n", "objective.c1_max ("),
+        ("mechanism.m_p = 0.3\n", None),
+        ("mechanism.m_p = 0.6\nobjective.c1_max = 3e5\nobjective.c2_max = 3e5\n", None),
+    ],
+    ids=["other-mechanism", "one-bound-given", "default-mechanism", "bounds-given"],
+)
+@pytest.mark.parametrize("command", [["balance", "--iters", "2"], ["bench", "--jobs", "1"]])
+def test_default_bounds_on_another_mechanism_are_noted(tmp_path, capsys, settings, notice, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(FAST_CFG + settings)
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    if notice is None:
+        assert err == ""
+    else:
+        assert err.startswith(f"note: default bounds on a non-default mechanism: {notice}calibrated on")
+        assert err.count("\n") == 1
+
+
 def test_existing_outputs_need_force(fast_cfg, tmp_path, capsys):
     out = tmp_path / "run"
     args = ["balance", "--config", fast_cfg, "--out", str(out)]

@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from shakebal import objective
 from shakebal.mechanism import DecisionVector, MechanismConfig, profile_arrays, theta_grid
 from shakebal.objective import (
+    SECOND_HARMONIC_CUTOFF,
     GridEvaluator,
     ObjectiveSpec,
     _abs_product_integral,
@@ -523,6 +525,136 @@ def test_batch_matches_total_on_non_finite_rows():
     X_huge = X[5:].copy()
     X_huge[:, :2] *= 1e300
     assert_batch_matches_total(MechanismConfig(), X_huge)
+
+
+def assert_integrals_match_rows(p1_rows, p2_rows) -> None:
+    """_abs_product_integrals of the rows as one batch is
+    _abs_product_integral row by row, bit for bit."""
+    p1_rows = [tuple(map(float, row)) for row in p1_rows]
+    p2_rows = [tuple(map(float, row)) for row in p2_rows]
+    with np.errstate(all="ignore"):
+        got = _abs_product_integrals(*(tuple(map(np.array, zip(*rows))) for rows in (p1_rows, p2_rows)))
+    assert list(map(float.hex, got.tolist())) == [
+        _abs_product_integral(p1, p2).hex() for p1, p2 in zip(p1_rows, p2_rows)
+    ]
+
+
+def record_rows(monkeypatch, name: str) -> list:
+    """Patch the objective helper ``name`` to record how many rows each
+    of its batched calls gets."""
+    helper = getattr(objective, name)
+    rows = []
+
+    def recorded(first, *args):
+        if isinstance(first, np.ndarray):
+            rows.append(len(first))
+        return helper(first, *args)
+
+    monkeypatch.setattr(objective, name, recorded)
+    return rows
+
+
+def rows_at_the_cutoff(rng, n: int, ulps: int = 6) -> list:
+    """p1 rows whose hypot(c2, s2) is SECOND_HARMONIC_CUTOFF * hypot(c1, s1)
+    to within a few ulps either side, in random directions and at scales
+    from 1e-170 to 1e170, where the squared norms underflow or overflow."""
+    rows = []
+    for _ in range(n):
+        h1 = 10.0 ** rng.uniform(-170, 170)
+        t1, t2 = rng.uniform(0, 2 * math.pi, 2)
+        for j in range(-ulps, ulps + 1):
+            h2 = SECOND_HARMONIC_CUTOFF * h1 * (1.0 + j * 2.0**-52)
+            rows.append((h1 * math.cos(t1), h1 * math.sin(t1), h2 * math.cos(t2), h2 * math.sin(t2)))
+    return rows
+
+
+def test_batch_takes_the_scalar_branch_a_few_ulps_from_the_cutoff():
+    rng = np.random.default_rng(24)
+    rows = rows_at_the_cutoff(rng, 200)
+    # both branches occur, and each is taken as math.hypot decides it
+    quartic = [math.hypot(c2, s2) > SECOND_HARMONIC_CUTOFF * math.hypot(c1, s1) for c1, s1, c2, s2 in rows]
+    assert 0 < sum(quartic) < len(rows)
+    assert_integrals_match_rows(rows, rng.standard_normal((len(rows), 2)))
+
+
+def test_batch_matches_total_a_few_ulps_from_the_cutoff():
+    # a slider harmonic of about 6e-8 (R/L = 5e-10), so that p1's first
+    # harmonic crosses the cutoff at about 6 as m_1 grows at phi_1 = 3
+    cfg = MechanismConfig(L=1e8)
+    phi_1 = 3.0
+
+    def quartic(m_1: float) -> bool:
+        c1, s1, c2, s2 = cfg.table.coefficients(DecisionVector(m_1, 0.0, phi_1, 0.0))[0]
+        return math.hypot(c2, s2) > SECOND_HARMONIC_CUTOFF * math.hypot(c1, s1)
+
+    # bisect m_1 over the bit patterns of positive floats, which are ordered
+    lo, hi = (int(np.float64(m).view(np.int64)) for m in (0.0, 0.2))
+    assert not quartic(0.0) and quartic(0.2)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if quartic(float(np.int64(mid).view(np.float64))):
+            hi = mid
+        else:
+            lo = mid
+    masses = np.arange(lo - 40, hi + 40, dtype=np.int64).view(np.float64)
+    X = np.zeros((len(masses), 4))
+    X[:, 0], X[:, 2] = masses, phi_1
+    assert_batch_matches_total(cfg, X)
+
+
+def test_batch_matches_total_on_subnormal_and_huge_coefficients():
+    rng = np.random.default_rng(25)
+    # omega**2 = 1e-314 makes every coefficient subnormal
+    cfg = MechanismConfig(omega=1e-157)
+    assert 0.0 < cfg.table.base[0][0] < 2.2e-308
+    assert_batch_matches_total(cfg, population_with_faces(rng, default_search_bounds(cfg)))
+    # omega**2 = 1e150, with masses up to 1e150 more: coefficients from
+    # about 1e150 to 1e300
+    X = population_with_faces(rng, default_search_bounds())
+    X[:, :2] *= 10.0 ** rng.uniform(0, 150, (len(X), 1))
+    assert_batch_matches_total(MechanismConfig(omega=1e75), X)
+    # the same scales row by row, and harmonics far apart within a row
+    scale = 10.0 ** rng.uniform(-320, -300, (100, 1)), 10.0 ** rng.uniform(150, 300, (100, 1))
+    rows = [*(rng.standard_normal((100, 4)) * s for s in scale)]
+    rows += [rng.standard_normal(4) * 10.0 ** rng.uniform(-320, 300, 4) for _ in range(200)]
+    p1_rows = np.concatenate([np.reshape(r, (-1, 4)) for r in rows])
+    assert_integrals_match_rows(p1_rows, rng.standard_normal((len(p1_rows), 2)))
+
+
+def test_batch_kernel_matches_the_scalar_where_p1_vanishes_and_p2_does_not():
+    rng = np.random.default_rng(26)
+    rows = [(0.0, 0.0, 0.0, 0.0), (-0.0, 0.0, -0.0, 0.0)]
+    # no first harmonic: the quartic branch, since 0 < h2
+    rows += [(0.0, 0.0, c2, s2) for c2, s2 in rng.standard_normal((20, 2))]
+    rows += [(0.0, 0.0, 1e-300, 0.0), (0.0, -0.0, 0.0, 5e-324)]
+    assert_integrals_match_rows(rows, rng.standard_normal((len(rows), 2)))
+
+
+def test_batch_mixes_root_branches_and_row_branches(monkeypatch):
+    rng = np.random.default_rng(27)
+    # biquadratic rows, some of whose resolvents have three real roots,
+    # among random rows, which have one
+    rows = [(c1, 0.0, -abs(c2) * np.sign(c1), 0.0) for c1, c2 in rng.standard_normal((40, 2))]
+    rows += list(rng.standard_normal((40, 4)))
+    one, three = record_rows(monkeypatch, "_one_real_root"), record_rows(monkeypatch, "_largest_of_three")
+    quartic = record_rows(monkeypatch, "_quartic_zero_columns")
+    assert_columns_match_rows(rows)
+    assert one and three and min(one) > 0 and min(three) > 0 and sum(one) + sum(three) == 2 * len(rows)
+    # all rows quartic: one call on the whole batch, with no masking
+    quartic.clear()
+    X = population_with_faces(rng, default_search_bounds())
+    assert_batch_matches_total(MechanismConfig(), X)
+    assert quartic == [len(X)]
+    # quartic rows, line rows, rows at the cutoff, zero rows and rows with
+    # p2 == 0 or not finite, in one batch
+    quartic.clear()
+    mixed = [*rows, *((c1, s1, 0.0, 0.0) for c1, s1 in rng.standard_normal((20, 2)))]
+    mixed += rows_at_the_cutoff(rng, 3) + [(0.0, 0.0, 0.0, 0.0)] * 3
+    mixed += [(1.0, 0.0, math.inf, 0.0), (1.0, math.nan, 1.0, 0.0), (-math.inf, 1.0, 0.0, 0.0)]
+    p2_rows = rng.standard_normal((len(mixed), 2))
+    p2_rows[:4] = [(0.0, 0.0), (-0.0, 0.0), (math.nan, 1.0), (1.0, math.inf)]
+    assert_integrals_match_rows(mixed, p2_rows)
+    assert len(quartic) == 1 and 0 < quartic[0] < len(mixed)
 
 
 def test_batch_raises_the_scalar_error_on_negative_mass():

@@ -6,7 +6,9 @@ Each NAME=SRC names a source tree: SRC is the directory that holds the
 ``shakebal`` package (``src`` in a checkout).  The sub-layers are:
 
 - one scalar cost call on the default problem (``scalar_us``);
-- one ``batch`` call at 1, 25, 50 and 100 rows (``batch_ms``);
+- one ``batch`` call at 1, 25, 50, 100, 300 and 1500 rows (``batch_ms``);
+  a lockstep round of perfbench's campaign scores 200-300 rows, and one
+  of the default ``shakebal bench --jobs 2`` about 1500;
 - each algorithm's 300-iteration run on the default problem, per seed,
   at R = 1, 2 and 10 seeds (``run_s``), the R seeds in lockstep
   (``optimizers.lockstep``), the share of that run's wall time spent
@@ -46,7 +48,7 @@ import time
 
 import numpy as np
 
-BATCH_ROWS = (1, 25, 50, 100)
+BATCH_ROWS = (1, 25, 50, 100, 300, 1500)
 ALGORITHMS = ("pso", "abc", "bga", "hgapso")
 SEEDS = (1, 2, 10)
 ITERATIONS = 300
