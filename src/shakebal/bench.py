@@ -38,7 +38,7 @@ from .mechanism import DecisionVector, MechanismConfig, profile_arrays, theta_gr
 from .objective import ObjectiveSpec, evaluate, make_objective, require_finite_cost
 from .optimizers import ALGORITHM_NAMES, BUDGET_FREE, PARAMS, STEPS, RunResult, lockstep
 from .optimizers.bga import chromosome_length
-from .optimizers.common import require_finite, require_integers, require_seed
+from .optimizers.common import require_fields, require_seed
 
 RESULTS_HEADER = [
     "algorithm", "budget", "experiment", "seed", "m1", "m2", "phi1", "phi2",
@@ -64,8 +64,7 @@ class BenchSettings:
     base_seed: int = 1
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_integers(self)
+        require_fields(self)
         self.algorithms = tuple(self.algorithms)
         unknown = [a for a in self.algorithms if a not in STEPS]
         if unknown:

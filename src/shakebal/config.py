@@ -160,6 +160,8 @@ def parse_config(path) -> AppConfig:
                     raise ValueError(f"{key} must be finite (got {value})")
             if low > high:
                 raise ValueError(f"{lo} must be <= {hi} (got {low} > {high})")
+            if not math.isfinite(high - low):
+                raise ValueError(f"{lo} to {hi} must be a finite width (got {low} to {high})")
             lower.append(low)
             upper.append(high)
         spec = ObjectiveSpec(bounds=Bounds(lower, upper), **kw)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizers.common import require_finite
+from .optimizers.common import require_fields
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -41,8 +41,10 @@ def wrap_angle(angle):
 class MechanismConfig:
     """Fixed physical parameters of the mechanism.
 
-    Units are consistent-by-convention (SI works, but any coherent system
-    does: every profile is linear in each mass and carries omega**2).
+    Units are consistent-by-convention: SI works, and so does any coherent
+    system for the cost (every profile is linear in each mass and carries
+    omega**2) and for PSO, BGA and HGAPSO, which only compare or rank
+    costs, but not for ABC, whose fitness 1/(1 + f) depends on the scale.
 
     m_c      eccentric crank mass, identical on both crank-sliders
     m_p      equivalent slider mass, identical on both sliders
@@ -79,7 +81,7 @@ class MechanismConfig:
     r_2: float = 0.04
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        require_fields(self)
         for name in ("m_c", "m_p", "m_0"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")

@@ -42,7 +42,7 @@ from .mechanism import (
     HALF_PI, MAX_GRID_SAMPLES, TWO_PI, DecisionVector, MechanismConfig, half_square_integral,
     require_grid_size,
 )
-from .optimizers.common import Bounds, require_finite, require_integers, substream
+from .optimizers.common import Bounds, require_fields, substream
 
 # Below this ratio of second- to first-harmonic amplitude, p1 is cut at the
 # zeros of its first harmonic (see _abs_product_integral).
@@ -78,8 +78,7 @@ class ObjectiveSpec:
     bounds: Bounds = field(default_factory=default_search_bounds)
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_integers(self)
+        require_fields(self)
         require_grid_size(self.n_samples)
         if self.c1_max <= 0:
             raise ValueError(f"c1_max must be > 0 (got {self.c1_max})")

@@ -24,8 +24,7 @@ from .common import (
     SEARCH_STREAM,
     Bounds,
     TrackedObjective,
-    require_finite,
-    require_integers,
+    require_fields,
     roulette,
     substream,
 )
@@ -38,8 +37,7 @@ class AbcParams:
     limit: int = 100
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_integers(self)
+        require_fields(self)
         if self.food_sources < 2:
             raise ValueError(f"food_sources must be >= 2 (got {self.food_sources})")
         if self.iterations < 1:
@@ -49,7 +47,8 @@ class AbcParams:
 
 
 def fitness_from_cost(cost: float) -> float:
-    """Positive fitness for roulette selection: 1/(1+f) for f >= 0, else 1+|f|."""
+    """Positive fitness for roulette selection: 1/(1+f) for f >= 0, else 1+|f|.
+    It depends on the cost's scale, so ABC's runs change with its units."""
     return 1.0 / (1.0 + cost) if cost >= 0 else 1.0 + abs(cost)
 
 

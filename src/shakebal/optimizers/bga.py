@@ -27,8 +27,7 @@ from .common import (
     SEARCH_STREAM,
     Bounds,
     TrackedObjective,
-    require_finite,
-    require_integers,
+    require_fields,
     roulette,
     substream,
 )
@@ -45,8 +44,7 @@ class BgaParams:
     elitism: int = 1
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_integers(self)
+        require_fields(self)
         if self.population < 2 or self.population % 2 != 0:
             raise ValueError(f"population must be even and >= 2 (got {self.population})")
         if self.iterations < 1:

@@ -50,20 +50,18 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
 
 
-def require_finite(obj) -> None:
-    """Reject NaN and infinity in the float fields of a dataclass; a NaN
-    would pass every range check after this one."""
-    for f in dataclasses.fields(obj):
+def require_fields(obj) -> None:
+    """Check the fields of a config dataclass in two passes.  First reject
+    NaN and infinity in its float fields, since a NaN would pass every range
+    check after this one.  Then reject a non-integer in its fields annotated
+    ``int`` or ``tuple[int, ...]``, the integer kinds the config schema
+    reads, and store an integral value such as 3.0 as the int it equals."""
+    fields = dataclasses.fields(obj)
+    for f in fields:
         value = getattr(obj, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite (got {value})")
-
-
-def require_integers(obj) -> None:
-    """Reject a non-integer in the fields of a dataclass annotated ``int``
-    or ``tuple[int, ...]``, the integer kinds the config schema reads, and
-    store an integral value such as 3.0 as the int it equals."""
-    for f in dataclasses.fields(obj):
+    for f in fields:
         if f.type in ("int", "tuple[int, ...]"):
             value = getattr(obj, f.name)
             items = (value,) if f.type == "int" else tuple(value)
@@ -98,7 +96,7 @@ class NonFiniteObjectiveError(RuntimeError):
 
 @dataclass
 class Bounds:
-    """Per-dimension box constraints (lower_j <= upper_j)."""
+    """Per-dimension box constraints (lower_j <= upper_j, finite widths)."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -115,6 +113,9 @@ class Bounds:
             raise ValueError("bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError(f"lower must be <= upper per dimension (got {self.lower} > {self.upper})")
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(self.width)):
+                raise ValueError(f"upper - lower must be finite per dimension (got {self.lower} to {self.upper})")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bounds):

@@ -31,8 +31,7 @@ from .common import (
     SEARCH_STREAM,
     Bounds,
     TrackedObjective,
-    require_finite,
-    require_integers,
+    require_fields,
     substream,
 )
 from .pso import PsoParams, inertia_weight, velocity
@@ -49,8 +48,7 @@ class HgapsoParams:
     bga: BgaParams = field(default_factory=BgaParams)
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_integers(self)
+        require_fields(self)
         if self.population < 2:
             raise ValueError(f"population must be >= 2 (got {self.population})")
         if self.iterations < 1:

@@ -29,8 +29,7 @@ from .common import (
     SEARCH_STREAM,
     Bounds,
     TrackedObjective,
-    require_finite,
-    require_integers,
+    require_fields,
     substream,
 )
 
@@ -46,8 +45,7 @@ class PsoParams:
     v_max_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        require_finite(self)
-        require_integers(self)
+        require_fields(self)
         if self.population < 1:
             raise ValueError(f"population must be >= 1 (got {self.population})")
         if self.iterations < 1:

@@ -266,6 +266,19 @@ def test_bench_rejects_a_value_no_run_could_use(tmp_path, capsys, key, value):
     assert not (tmp_path / "b" / "results.csv").exists()
 
 
+def test_bench_on_a_box_whose_width_overflows_exits_1_before_any_output(tmp_path, capsys):
+    bad = tmp_path / "wide.cfg"
+    bad.write_text(
+        "objective.phi1_min = -1e308\nobjective.phi1_max = 1e308\n"
+        "bench.iteration_budgets = 3\nbench.repeats = 1\n"
+    )
+    out = tmp_path / "b"
+    assert main(["bench", "--config", str(bad), "--out", str(out), "--jobs", "1"]) == 1
+    message = "phi1_min to phi1_max must be a finite width (got -1e+308 to 1e+308)"
+    assert capsys.readouterr().err == f"error: {bad}:1: objective.phi1_min: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["balance", "calibrate"])
 def test_negative_seed_flag_exits_1_before_any_output(tmp_path, capsys, command):
     out = tmp_path / "o"

@@ -125,6 +125,14 @@ def test_bad_bounds_are_rejected(tmp_path):
         load(tmp_path, "objective.m1_min = 5\nobjective.m1_max = 1\n")
 
 
+def test_a_box_whose_width_overflows_is_rejected_at_its_min_key(tmp_path):
+    path = tmp_path / "test.cfg"
+    with pytest.raises(ConfigError) as err:
+        load(tmp_path, "objective.phi1_min = -1e308\nobjective.phi1_max = 1e308\n")
+    message = "phi1_min to phi1_max must be a finite width (got -1e+308 to 1e+308)"
+    assert str(err.value) == f"{path}:1: objective.phi1_min: {message}"
+
+
 def test_hgapso_reuses_operator_settings(tmp_path):
     cfg = load(tmp_path, "pso.c1 = 0.5\nbga.bits_per_variable = 12\n")
     assert cfg.hgapso.pso.c1 == 0.5

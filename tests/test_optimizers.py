@@ -468,6 +468,47 @@ def test_batched_objective_gives_the_scalar_run(name):
     assert batched.evaluations == scalar.evaluations
 
 
+class Scaled:
+    """An objective times a constant, on ``__call__`` and ``batch`` alike."""
+
+    def __init__(self, fn, scale):
+        self.fn = fn
+        self.scale = scale
+
+    def __call__(self, x):
+        return self.scale * self.fn(x)
+
+    def batch(self, X):
+        return self.scale * self.fn.batch(X)
+
+
+# ABC is left out: its onlooker odds come from the fitness 1/(1 + f), which
+# depends on the cost's scale, so its runs change with the cost's units.
+@pytest.mark.parametrize("name", ["pso", "bga", "hgapso"])
+def test_the_cost_units_do_not_change_the_run(name):
+    # these three only compare or rank costs, and a power of two scales
+    # every cost exactly, so each run takes the same path
+    optimize, params = FAST[name]
+    spec = ObjectiveSpec()
+    objective = make_objective(MechanismConfig(), spec)
+    scale = 2.0**-20
+    for seed in (1, 2, 3):
+        plain = optimize(objective, spec.bounds, params, seed)
+        scaled = optimize(Scaled(objective, scale), spec.bounds, params, seed)
+        assert np.array_equal(scaled.best_x, plain.best_x)
+        assert scaled.evaluations == plain.evaluations
+        assert np.array_equal(scaled.best_x_trace, plain.best_x_trace)
+        assert np.array_equal(scaled.trace, scale * plain.trace)
+
+
+def test_bounds_reject_a_width_that_overflows():
+    with pytest.raises(ValueError, match=r"^upper - lower must be finite per dimension"):
+        Bounds([-1e308], [1e308])
+    with pytest.raises(ValueError, match=r"^upper - lower must be finite per dimension"):
+        Bounds([0.0, -1e308], [1.0, 1e308])
+    assert Bounds([-1e308, 0.0], [0.0, 1e308]).width.tolist() == [1e308, 1e308]
+
+
 @pytest.mark.parametrize("problem", ["sphere", "default"])
 def test_abc_is_the_sequential_colony(problem):
     if problem == "sphere":
