@@ -168,7 +168,7 @@ def cmd_calibrate(args) -> int:
                 line for (section, key), (_, line) in read_assignments(args.config).items()
                 if section == "objective" and key in ("c1_max", "c2_max")
             }
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 lines = [raw.rstrip("\n") for line, raw in enumerate(fh, start=1) if line not in dropped]
         lines.append(f"objective.c1_max = {c1_max!r}")
         lines.append(f"objective.c2_max = {c2_max!r}")
@@ -210,7 +210,7 @@ def _read_solutions(path: str) -> list[tuple[str, DecisionVector]]:
         raise CliError(f"solutions file not found: {path}")
     out: list[tuple[str, DecisionVector]] = []
     faults = {"": "is empty", "unbalanced": "is reserved for the unbalanced profile"}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["name", "m1", "m2", "phi1", "phi2"]:

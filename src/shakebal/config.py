@@ -98,9 +98,10 @@ def named_key(message: str, keys) -> str | None:
 
 
 def read_assignments(path) -> dict[tuple[str, str], tuple[object, int]]:
-    """Parse the file into {(section, key): (value, line_number)}."""
+    """Parse the file into {(section, key): (value, line_number)}; UTF-8,
+    after a byte-order mark if it starts with one."""
     assignments: dict[tuple[str, str], tuple[object, int]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -21,10 +21,10 @@ The cost has two kernels with one result: a scalar one for single points
 (``evaluate``, calling the objective) and a batched one for a population
 (``GridEvaluator.batch``), which returns the scalar value of every row bit
 for bit.  Both take the (m, phi) -> u map and the u-affine rows of
-``HarmonicTable``, as ``calibrate_bounds`` does, and the cost assembly
-``_assemble``; only their cut kernels differ.  Both stay, since one scalar
-call takes about 25.3 us and a 1-row ``batch`` 0.445 ms (``BENCH_25.json``,
-change tree: 2-vCPU x86-64, Python 3.11, numpy 2.4).
+``HarmonicTable``, as ``calibrate_bounds`` does, ``_assemble`` and the
+branch test ``_cut_branch``; only their cut kernels differ.  Both stay,
+since one scalar call takes about 25.3 us and a 1-row ``batch`` 0.445 ms
+(``BENCH_25.json``, change tree: 2-vCPU x86-64, Python 3.11, numpy 2.4).
 
 ``polar_area`` is the periodic rectangle rule for radii sampled on a grid,
 such as the plotted profiles of ``polar.csv``; the cost does not use it.
@@ -44,8 +44,9 @@ from .mechanism import (
 )
 from .optimizers.common import Bounds, require_fields, substream
 
-# Below this ratio of second- to first-harmonic amplitude, p1 is cut at the
-# zeros of its first harmonic (see _abs_product_integral).
+# Below this ratio of the sizes of p1's second and first harmonics, p1 is cut
+# at the zeros of its first (see _cut_branch).  The second moves them by
+# ~ratio, which changes the integral by ~ratio**2: below rounding.
 SECOND_HARMONIC_CUTOFF = 1e-8
 # Constraint bounds used when a config file does not set them: half of the
 # largest C1/C2 seen over 10^4 uniform samples of the default search box on
@@ -310,6 +311,15 @@ def _variation(k0, q: list):
     return total
 
 
+def _cut_branch(c1, s1, c2, s2) -> tuple:
+    """(finite, line, zero) of p1 = (c1, s1, c2, s2), floats or columns, by
+    l1 = |c1| + |s1| and l2 = |c2| + |s2|: l1 + l2 < inf, l2 <= CUTOFF * l1
+    and l1 == 0.  abs, + and * round alike on floats and columns."""
+    l1 = abs(c1) + abs(s1)
+    l2 = abs(c2) + abs(s2)
+    return l1 + l2 < math.inf, l2 <= SECOND_HARMONIC_CUTOFF * l1, l1 == 0.0
+
+
 def _abs_product_integral(p1, p2) -> float:
     """Exact integral over one turn of |p1(t) * p2(t)|.
 
@@ -320,24 +330,19 @@ def _abs_product_integral(p1, p2) -> float:
     antiderivative Q; the integral is sum |Q(t_i+1) - Q(t_i)|.  Cutting
     inside an interval of constant sign leaves the sum unchanged, so every
     root of p1's quartic is used as a cut, a complex pair at its real
-    part: no tolerance is needed and tangent zeros are harmless.
+    part: no tolerance is needed and tangent zeros are harmless.  Where
+    ``_cut_branch`` says so, p1 is cut at its first harmonic's zeros.
     """
     c1, s1, c2, s2 = p1
     a, b = p2
     if a == 0.0 and b == 0.0:
         return 0.0
-    h1 = math.hypot(c1, s1)
-    h2 = math.hypot(c2, s2)
-    if not math.isfinite(h1 + h2):
+    finite, line, zero = _cut_branch(c1, s1, c2, s2)
+    if not finite:
         return math.nan
-    if h2 <= SECOND_HARMONIC_CUTOFF * h1:
-        # the second harmonic moves the two zeros of the first by at most
-        # ~h2/h1, which changes the integral by ~(h2/h1)**2: below rounding
-        if h1 == 0.0:
-            return 0.0
-        cuts = _line_zeros(c1, s1)
-    else:
-        cuts = _quartic_zeros(c1, s1, c2, s2)
+    if line and zero:
+        return 0.0
+    cuts = _line_zeros(c1, s1) if line else _quartic_zeros(c1, s1, c2, s2)
     cuts = sorted([t % TWO_PI for t in cuts + _line_zeros(a, b)])
     k = _antiderivative_coefficients(p1, p2)
     return _variation(k[0], _antiderivative(k, cuts, math.cos, math.sin))
@@ -405,27 +410,6 @@ def _cut_integrals(p1, p2, zeros: np.ndarray) -> np.ndarray:
     return _variation(k[0], list(q))
 
 
-# The batched kernel takes each row's branch from the squared norms
-# n1 = c1**2 + s1**2 and n2 = c2**2 + s2**2, where the scalar kernel tests
-# h2 = hypot(c2, s2) > SECOND_HARMONIC_CUTOFF * h1.  A row is decided here
-# (``_abs_product_integrals``) only when n2 clears CUTOFF**2 * n1 by the
-# relative margin _BRANCH_MARGIN, and only when the larger side of the
-# test, n2 for the quartic and n1 for the line, is finite and at least
-# _NORM_FLOOR.  Why each such row gets the branch math.hypot gives it:
-# - a finite n had no overflow, so it is its exact value within 3 ulps,
-#   less at most two subnormals lost to underflow in the squares;
-# - on the larger side, >= 1e-290, those subnormals and the underflow of
-#   CUTOFF**2 * n1 are below 1e-17 of it;
-# - hypot and CUTOFF * h1 are within an ulp of their exact values.
-# So both tests sit within about 1e-15 of the exact comparison, which
-# cannot cross a margin of 1e-6.  The rest go to the scalar function: the
-# rows inside the margin, tiny, huge or not finite.
-_BRANCH_MARGIN = 1e-6
-_QUARTIC_ABOVE = SECOND_HARMONIC_CUTOFF**2 * (1.0 + _BRANCH_MARGIN)
-_LINE_BELOW = SECOND_HARMONIC_CUTOFF**2 * (1.0 - _BRANCH_MARGIN)
-_NORM_FLOOR = 1e-290
-
-
 def _abs_product_integrals(p1, p2) -> np.ndarray:
     """``_abs_product_integral`` of every row of coefficient columns, bit
     for bit.
@@ -433,32 +417,27 @@ def _abs_product_integrals(p1, p2) -> np.ndarray:
     Each row is cut where the scalar function cuts it, by
     ``_quartic_zero_columns`` or ``_line_zeros``; every sum runs in the
     scalar order, and the transcendental functions that numpy rounds
-    differently go through ``math`` per element (see ``_columns``).  Rows
-    whose branch is not decided here (see _BRANCH_MARGIN), non-finite ones
-    among them, are handed to the scalar function, so they give what it
-    gives, NaN included.
+    differently go through ``math`` per element (see ``_columns``).  Each
+    row takes its branch from the scalar's ``_cut_branch``, so rows of NaN,
+    of 0 and with a non-finite p2 come out as there, by the same operations.
     """
     c1, s1, c2, s2, a, b = np.broadcast_arrays(*p1, *p2)
-    n1 = c1 * c1 + s1 * s1
-    n2 = c2 * c2 + s2 * s2
+    finite, line, zero = _cut_branch(c1, s1, c2, s2)
     live = (a != 0.0) | (b != 0.0)
-    regular = live & np.isfinite(a) & np.isfinite(b)
-    quartic = regular & (n2 > _QUARTIC_ABOVE * n1) & (n2 >= _NORM_FLOOR) & (n2 < math.inf)
+    quartic = live & finite & ~line
     if quartic.all():
         return _cut_integrals((c1, s1, c2, s2), (a, b), _quartic_zero_columns(c1, s1, c2, s2))
-    line = regular & (n2 < _LINE_BELOW * n1) & (n1 >= _NORM_FLOOR) & (n1 < math.inf)
+    line &= live & finite & ~zero
 
     def rows(mask):
         return (c1[mask], s1[mask], c2[mask], s2[mask]), (a[mask], b[mask])
 
-    out = np.zeros(c1.shape)
+    out = np.where(live & ~finite, math.nan, 0.0)
     if quartic.any():
         out[quartic] = _cut_integrals(*rows(quartic), _quartic_zero_columns(*rows(quartic)[0]))
     if line.any():
         zeros = np.stack(_line_zeros(c1[line], s1[line], _atan2_columns), axis=1)
         out[line] = _cut_integrals(*rows(line), zeros)
-    for i in np.flatnonzero(live & ~quartic & ~line):
-        out[i] = _abs_product_integral(*(tuple(map(float, col)) for col in rows(i)))
     return out
 
 

@@ -346,6 +346,27 @@ def test_profile_reads_named_solutions(fast_cfg, tmp_path):
         assert len(list(reader)) == 90
 
 
+def test_profile_reads_a_solutions_file_that_starts_with_a_byte_order_mark(fast_cfg, tmp_path):
+    # as Excel's "CSV UTF-8" saves it
+    solutions = tmp_path / "solutions.csv"
+    solutions.write_bytes(b"\xef\xbb\xbfname,m1,m2,phi1,phi2\r\nguess,0.2,0.0,3.14159,0.0\r\n")
+    out = tmp_path / "prof"
+    assert main(["profile", "--config", fast_cfg, "--solutions", str(solutions),
+                 "--samples", "90", "--out", str(out)]) == 0
+    with open(out / "polar.csv", newline="") as fh:
+        assert next(csv.reader(fh)) == ["theta_rad", "r_unbalanced", "r_guess"]
+
+
+def test_calibrate_copies_a_config_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfmechanism.m_c = 0.7\nobjective.c1_max = 1e5\n")
+    copy = tmp_path / "calibrated.cfg"
+    assert main(["calibrate", "--config", str(path), "--samples", "200", "--write-config", str(copy)]) == 0
+    lines = copy.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "mechanism.m_c = 0.7" and len(lines) == 3
+    assert config.parse_config(copy).mechanism.m_c == 0.7
+
+
 def test_profile_rejects_bad_solutions_file(fast_cfg, tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("m1,m2\n1,2\n")

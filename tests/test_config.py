@@ -90,6 +90,14 @@ def test_a_key_set_twice_is_rejected_citing_both_lines(tmp_path):
     assert str(err.value) == f"{path}:4: pso.population: set again (first set on line 1)"
 
 
+def test_a_file_that_starts_with_a_byte_order_mark_loads(tmp_path):
+    # as Windows editors save UTF-8
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbfmechanism.m_c = 0.7\npso.population = 12\n")
+    cfg = parse_config(path)
+    assert cfg.mechanism.m_c == 0.7 and cfg.pso.population == 12
+
+
 def test_bench_lists(tmp_path):
     cfg = load(
         tmp_path,

@@ -112,3 +112,20 @@ def test_two_copies_of_one_tree_run_the_same_rounds(packages):
     for seconds, share, rounds in figures.values():
         assert seconds > 0.0 and 0.0 < share < 1.0
         assert rounds == tool.ITERATIONS + 1  # the initial population, then one per iteration
+
+
+def test_cost_layers_time_both_cut_branches_in_every_tree(packages, monkeypatch):
+    src = str(Path(shakebal.__file__).parents[1])
+    tool = load_tool()
+    trees = {name: tool.load(name, src) for name in packages}
+    monkeypatch.setattr(tool, "SCALAR_CALLS", 20)
+    monkeypatch.setattr(tool, "BATCH_CALLS", 2)
+    monkeypatch.setattr(tool, "BATCH_ROWS", (1, 3))
+
+    figures = tool.cost_layers(trees, 1)
+
+    assert list(figures) == list(packages)
+    for record in figures.values():
+        assert set(record) == {"scalar_us", "scalar_line_us", "batch_ms"}
+        assert record["scalar_us"] > 0.0 and record["scalar_line_us"] > 0.0
+        assert set(record["batch_ms"]) == {"1", "3"} and min(record["batch_ms"].values()) > 0.0

@@ -657,6 +657,72 @@ def test_batch_mixes_root_branches_and_row_branches(monkeypatch):
     assert len(quartic) == 1 and 0 < quartic[0] < len(mixed)
 
 
+def rows_at_the_size_cutoff(rng, n: int, ulps: int = 4) -> list:
+    """p1 rows whose size |c2| + |s2| is SECOND_HARMONIC_CUTOFF * (|c1| +
+    |s1|) as both kernels round it, and rows a few ulps either side, with
+    random signs and at scales from 1e-300 to 1e300."""
+    rows = []
+    for _ in range(n):
+        c1, s1 = rng.standard_normal(2) * 10.0 ** rng.uniform(-300, 300)
+        l2 = SECOND_HARMONIC_CUTOFF * (abs(c1) + abs(s1))
+        for _ in range(ulps):
+            l2 = math.nextafter(l2, 0.0)
+        for _ in range(2 * ulps + 1):
+            # w and l2 - w are within a factor 2 of l2, so l2 - w is exact
+            # and |c2| + |s2| rounds to l2 itself
+            w = l2 * rng.uniform(0.5, 1.0)
+            c2, s2 = rng.permutation([w, l2 - w]) * rng.choice([-1.0, 1.0], 2)
+            rows.append((float(c1), float(s1), float(c2), float(s2)))
+            l2 = math.nextafter(l2, math.inf)
+    return rows
+
+
+def test_batch_takes_the_scalar_branch_a_few_ulps_from_the_size_cutoff():
+    rng = np.random.default_rng(28)
+    ulps = 4
+    rows = rows_at_the_size_cutoff(rng, 60, ulps)
+    # the line cut up to and at the cutoff itself, the quartic above it
+    line = [abs(c2) + abs(s2) <= SECOND_HARMONIC_CUTOFF * (abs(c1) + abs(s1)) for c1, s1, c2, s2 in rows]
+    assert line == [j <= ulps for _ in range(60) for j in range(2 * ulps + 1)]
+    assert_integrals_match_rows(rows, rng.standard_normal((len(rows), 2)))
+
+
+def test_batch_gives_nan_where_the_harmonic_sizes_overflow():
+    # finite coefficients whose |c1| + |s1| or |c1| + |s1| + |c2| + |s2|
+    # overflows, against a small p2, which the cut formulas would integrate
+    # to finite values
+    big = 0.6 * float(np.finfo(float).max)
+    rows = [(big, big, 0.0, 0.0), (big, -big, 1.0, 1.0), (big, 0.0, -big, 0.0), (0.0, big, big, big)]
+    rows += [(big, 1.0, 0.0, 0.0), (1.0, 1.0, 1.0, 1.0)]
+    p2_rows = [(1e-10, -2e-10)] * len(rows)
+    assert [math.isnan(_abs_product_integral(p1, p2)) for p1, p2 in zip(rows, p2_rows)] == [True] * 4 + [False] * 2
+    assert_integrals_match_rows(rows, p2_rows)
+
+
+def test_both_cuts_agree_to_rounding_where_the_branch_may_flip():
+    # l1 / hypot(c1, s1) and l2 / hypot(c2, s2) lie in [1, sqrt(2)], so the
+    # size test and a hypot test can differ only for h2/h1 in [0.5e-8, 2e-8]
+    rng = np.random.default_rng(29)
+
+    def integral(p1, p2, zeros) -> float:
+        cuts = sorted([t % (2 * math.pi) for t in zeros + objective._line_zeros(*p2)])
+        k = objective._antiderivative_coefficients(p1, p2)
+        return objective._variation(k[0], objective._antiderivative(k, cuts, math.cos, math.sin))
+
+    for _ in range(500):
+        h1, ratio = 10.0 ** rng.uniform(-100, 100), rng.uniform(0.5e-8, 2e-8)
+        t1, t2 = rng.uniform(0, 2 * math.pi, 2)
+        p1 = (h1 * math.cos(t1), h1 * math.sin(t1), ratio * h1 * math.cos(t2), ratio * h1 * math.sin(t2))
+        p2 = tuple(map(float, rng.standard_normal(2)))
+        got = _abs_product_integral(p1, p2)
+        quartic = integral(p1, p2, _quartic_zeros(*p1))
+        line = integral(p1, p2, objective._line_zeros(p1[0], p1[1]))
+        # the cuts move by ~ratio, so the values move by ~ratio**2, which is
+        # below rounding; each sums six differences of seven-term Q values,
+        # and two such sums round apart by a few ulps (2e-15 is about 9)
+        assert abs(got - quartic) <= 2e-15 * got and abs(got - line) <= 2e-15 * got
+
+
 def test_batch_raises_the_scalar_error_on_negative_mass():
     evaluator = GridEvaluator(MechanismConfig(), ObjectiveSpec())
     X = np.array([[0.1, 0.1, 1.0, 1.0], [0.1, -0.5, 1.0, 1.0], [-1.0, 0.1, 1.0, 1.0]])

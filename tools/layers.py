@@ -5,7 +5,9 @@
 Each NAME=SRC names a source tree: SRC is the directory that holds the
 ``shakebal`` package (``src`` in a checkout).  The sub-layers are:
 
-- one scalar cost call on the default problem (``scalar_us``);
+- one scalar cost call on the default problem (``scalar_us``), and one
+  with m_c = m_p = 0 (``scalar_line_us``), the mechanism that perfbench's
+  sweep shares, where every point takes the cost's line cut;
 - one ``batch`` call at 1, 25, 50, 100, 300 and 1500 rows (``batch_ms``);
   a lockstep round of perfbench's campaign scores 200-300 rows, and one
   of the default ``shakebal bench --jobs 2`` about 1500;
@@ -104,26 +106,30 @@ def in_turn(names: list, turn: int) -> list:
 
 
 def cost_layers(trees: dict, round_index: int) -> dict:
-    """Each tree's ``scalar_us`` and ``batch_ms`` on its default problem,
-    the trees taking turns call by call."""
+    """Each tree's ``scalar_us``, ``scalar_line_us`` and ``batch_ms`` on
+    its default problem, the trees taking turns call by call."""
     unit = np.random.default_rng(round_index).random((SCALAR_CALLS, 4))
-    names, problems = list(trees), {}
-    seconds = {name: dict.fromkeys(("scalar", *BATCH_ROWS), 0.0) for name in names}
+    names, problems, scalars = list(trees), {}, {}
+    seconds = {name: dict.fromkeys(("scalar", "scalar_line", *BATCH_ROWS), 0.0) for name in names}
     for name, shakebal in trees.items():
         spec = shakebal.objective.ObjectiveSpec()
-        objective = shakebal.objective.make_objective(shakebal.mechanism.MechanismConfig(), spec)
+        MechanismConfig = shakebal.mechanism.MechanismConfig
+        objective = shakebal.objective.make_objective(MechanismConfig(), spec)
+        line = shakebal.objective.make_objective(MechanismConfig(m_c=0.0, m_p=0.0), spec)
         points = spec.bounds.lerp(unit)
         objective(points[0])
+        line(points[0])
         for rows in BATCH_ROWS:
             objective.batch(points[:rows])
         problems[name] = objective, points
+        scalars[name] = {"scalar": objective, "scalar_line": line}
     for i in range(SCALAR_CALLS):
-        for name in in_turn(names, i):
-            objective, points = problems[name]
-            x = points[i]
-            start = time.perf_counter()
-            objective(x)
-            seconds[name]["scalar"] += time.perf_counter() - start
+        for key in ("scalar", "scalar_line"):
+            for name in in_turn(names, i):
+                fn, x = scalars[name][key], problems[name][1][i]
+                start = time.perf_counter()
+                fn(x)
+                seconds[name][key] += time.perf_counter() - start
     for i in range(BATCH_CALLS):
         for rows in BATCH_ROWS:
             for name in in_turn(names, i):
@@ -135,6 +141,7 @@ def cost_layers(trees: dict, round_index: int) -> dict:
     return {
         name: {
             "scalar_us": 1e6 * s["scalar"] / SCALAR_CALLS,
+            "scalar_line_us": 1e6 * s["scalar_line"] / SCALAR_CALLS,
             "batch_ms": {str(rows): 1e3 * s[rows] / BATCH_CALLS for rows in BATCH_ROWS},
         }
         for name, s in seconds.items()
