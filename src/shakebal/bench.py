@@ -38,7 +38,7 @@ from .mechanism import DecisionVector, MechanismConfig, profile_arrays, theta_gr
 from .objective import ObjectiveSpec, evaluate, make_objective, require_finite_cost
 from .optimizers import ALGORITHM_NAMES, BUDGET_FREE, PARAMS, STEPS, RunResult, lockstep
 from .optimizers.bga import chromosome_length
-from .optimizers.common import require_fields, require_seed
+from .optimizers.common import ranged, require_fields
 
 RESULTS_HEADER = [
     "algorithm", "budget", "experiment", "seed", "m1", "m2", "phi1", "phi2",
@@ -60,8 +60,8 @@ class BenchSettings:
 
     algorithms: tuple[str, ...] = ALGORITHM_NAMES
     iteration_budgets: tuple[int, ...] = (200, 300)
-    repeats: int = 10
-    base_seed: int = 1
+    repeats: int = ranged(10, 1)
+    base_seed: int = ranged(1, 0)
 
     def __post_init__(self) -> None:
         require_fields(self)
@@ -81,9 +81,6 @@ class BenchSettings:
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} must not repeat (got {list(values)})")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1 (got {self.repeats})")
-        require_seed(self.base_seed, "base_seed")
 
 
 @dataclass

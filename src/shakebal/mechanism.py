@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizers.common import require_fields
+from .optimizers.common import ranged, require_fields
 
 TWO_PI = 2.0 * math.pi
 HALF_PI = 0.5 * math.pi
@@ -66,30 +66,22 @@ class MechanismConfig:
     mechanism whose table or zero-counterweight areas overflow is rejected.
     """
 
-    m_c: float = 0.5
-    m_p: float = 0.3
-    R: float = 0.05
-    L: float = 0.2
-    omega: float = TWO_PI * 10.0
-    m_0: float = 0.2
-    R_0: float = 0.04
+    m_c: float = ranged(0.5, 0)
+    m_p: float = ranged(0.3, 0)
+    R: float = ranged(0.05, 0, open_low=True)
+    L: float = ranged(0.2, 0, open_low=True)
+    omega: float = ranged(TWO_PI * 10.0, 0, open_low=True)
+    m_0: float = ranged(0.2, 0)
+    R_0: float = ranged(0.04, 0, open_low=True)
     alpha: float = 0.0
-    a_1: float = 0.1
-    a_2: float = 0.15
+    a_1: float = ranged(0.1, 0, open_low=True)
+    a_2: float = ranged(0.15, 0, open_low=True)
     theta_0: float = math.pi
-    r_1: float = 0.04
-    r_2: float = 0.04
+    r_1: float = ranged(0.04, 0, open_low=True)
+    r_2: float = ranged(0.04, 0, open_low=True)
 
     def __post_init__(self) -> None:
         require_fields(self)
-        for name in ("m_c", "m_p", "m_0"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")
-        for name in ("R", "L", "R_0", "r_1", "r_2", "a_1", "a_2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0 (got {getattr(self, name)})")
-        if self.omega <= 0:
-            raise ValueError(f"omega must be > 0 (got {self.omega})")
         # the slider second harmonic (R/L)cos(2*theta) is a small-ratio term
         if self.R / self.L > 1.0:
             raise ValueError(f"R must be <= L (got R/L = {self.R / self.L})")

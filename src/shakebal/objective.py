@@ -23,8 +23,8 @@ The cost has two kernels with one result: a scalar one for single points
 for bit.  Both take the (m, phi) -> u map and the u-affine rows of
 ``HarmonicTable``, as ``calibrate_bounds`` does, ``_assemble`` and the
 branch test ``_cut_branch``; only their cut kernels differ.  Both stay,
-since one scalar call takes about 25.3 us and a 1-row ``batch`` 0.445 ms
-(``BENCH_25.json``, change tree: 2-vCPU x86-64, Python 3.11, numpy 2.4).
+since one scalar call takes about 20.55 us and a 1-row ``batch`` 0.354 ms
+(``BENCH_29.json``, change tree: 2-vCPU x86-64, Python 3.11, numpy 2.4).
 
 ``polar_area`` is the periodic rectangle rule for radii sampled on a grid,
 such as the plotted profiles of ``polar.csv``; the cost does not use it.
@@ -42,7 +42,7 @@ from .mechanism import (
     HALF_PI, MAX_GRID_SAMPLES, TWO_PI, DecisionVector, MechanismConfig, half_square_integral,
     require_grid_size,
 )
-from .optimizers.common import Bounds, require_fields, substream
+from .optimizers.common import Bounds, ranged, require_fields, substream
 
 # Below this ratio of the sizes of p1's second and first harmonics, p1 is cut
 # at the zeros of its first (see _cut_branch).  The second moves them by
@@ -73,20 +73,14 @@ class ObjectiveSpec:
     """
 
     n_samples: int = 720
-    c1_max: float = DEFAULT_C1_MAX
-    c2_max: float = DEFAULT_C2_MAX
-    penalty_weight: float = 1e6
+    c1_max: float = ranged(DEFAULT_C1_MAX, 0, open_low=True)
+    c2_max: float = ranged(DEFAULT_C2_MAX, 0, open_low=True)
+    penalty_weight: float = ranged(1e6, 0)
     bounds: Bounds = field(default_factory=default_search_bounds)
 
     def __post_init__(self) -> None:
         require_fields(self)
         require_grid_size(self.n_samples)
-        if self.c1_max <= 0:
-            raise ValueError(f"c1_max must be > 0 (got {self.c1_max})")
-        if self.c2_max <= 0:
-            raise ValueError(f"c2_max must be > 0 (got {self.c2_max})")
-        if self.penalty_weight < 0:
-            raise ValueError(f"penalty_weight must be >= 0 (got {self.penalty_weight})")
         if self.bounds.dimension != 4:
             raise ValueError(f"bounds must be 4-dimensional (got {self.bounds.dimension})")
         for name, low in (("m1_min", self.bounds.lower[0]), ("m2_min", self.bounds.lower[1])):

@@ -24,6 +24,7 @@ from .common import (
     SEARCH_STREAM,
     Bounds,
     TrackedObjective,
+    ranged,
     require_fields,
     roulette,
     substream,
@@ -32,18 +33,12 @@ from .common import (
 
 @dataclass(frozen=True)
 class AbcParams:
-    food_sources: int = 25
-    iterations: int = 300
-    limit: int = 100
+    food_sources: int = ranged(25, 2)
+    iterations: int = ranged(300, 1)
+    limit: int = ranged(100, 1)
 
     def __post_init__(self) -> None:
         require_fields(self)
-        if self.food_sources < 2:
-            raise ValueError(f"food_sources must be >= 2 (got {self.food_sources})")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1 (got {self.iterations})")
-        if self.limit < 1:
-            raise ValueError(f"limit must be >= 1 (got {self.limit})")
 
 
 def fitness_from_cost(cost: float) -> float:

@@ -27,6 +27,7 @@ from .common import (
     SEARCH_STREAM,
     Bounds,
     TrackedObjective,
+    ranged,
     require_fields,
     roulette,
     substream,
@@ -36,31 +37,17 @@ from .common import (
 @dataclass(frozen=True)
 class BgaParams:
     population: int = 50
-    iterations: int = 300
-    bits_per_variable: int = 16
-    crossover_points: int = 2
-    crossover_prob: float = 0.9
-    mutation_prob_per_bit: float | None = None  # None -> 1/(bits*d) at run time
-    elitism: int = 1
+    iterations: int = ranged(300, 1)
+    bits_per_variable: int = ranged(16, 8, 32)
+    crossover_points: int = ranged(2, 1)
+    crossover_prob: float = ranged(0.9, 0, 1)
+    mutation_prob_per_bit: float | None = ranged(None, 0, 1)  # None -> 1/(bits*d) at run time
+    elitism: int = ranged(1, 0)
 
     def __post_init__(self) -> None:
         require_fields(self)
         if self.population < 2 or self.population % 2 != 0:
             raise ValueError(f"population must be even and >= 2 (got {self.population})")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1 (got {self.iterations})")
-        if not (8 <= self.bits_per_variable <= 32):
-            raise ValueError(f"bits_per_variable must be in [8, 32] (got {self.bits_per_variable})")
-        if self.crossover_points < 1:
-            raise ValueError(f"crossover_points must be >= 1 (got {self.crossover_points})")
-        if not (0.0 <= self.crossover_prob <= 1.0):
-            raise ValueError(f"crossover_prob must be in [0, 1] (got {self.crossover_prob})")
-        if self.mutation_prob_per_bit is not None and not (0.0 <= self.mutation_prob_per_bit <= 1.0):
-            raise ValueError(
-                f"mutation_prob_per_bit must be in [0, 1] (got {self.mutation_prob_per_bit})"
-            )
-        if self.elitism < 0:
-            raise ValueError(f"elitism must be >= 0 (got {self.elitism})")
         if self.elitism >= self.population:
             raise ValueError(f"elitism must be < population (got {self.elitism} >= {self.population})")
 

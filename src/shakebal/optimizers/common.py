@@ -38,10 +38,10 @@ INIT_STREAM = 0
 SEARCH_STREAM = 1
 
 
-def require_seed(seed: int, name: str = "seed") -> None:
+def require_seed(seed: int) -> None:
     """Reject a negative seed, which no Philox stream accepts."""
     if seed < 0:
-        raise ValueError(f"{name} must be >= 0 (got {seed})")
+        raise ValueError(f"seed must be >= 0 (got {seed})")
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -50,27 +50,43 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=path)))
 
 
+def ranged(default, low, high=math.inf, *, open_low=False):
+    """A config dataclass field with this default whose value must lie in
+    [low, high], or (low, high] when ``open_low``; ``require_fields``
+    checks it, and lets None pass."""
+    return field(default=default, metadata={"range": (low, high, open_low)})
+
+
 def require_fields(obj) -> None:
-    """Check the fields of a config dataclass in two passes.  First reject
-    NaN and infinity in its float fields, since a NaN would pass every range
-    check after this one.  Then reject a non-integer in its fields annotated
+    """Check the fields of a config dataclass in declaration order; the
+    first bad field names the ValueError.  Each field is checked in turn:
+    a float must be finite, so a NaN never reaches the range test; a field
+    annotated ``tuple[...]`` must hold a tuple or list; a field annotated
     ``int`` or ``tuple[int, ...]``, the integer kinds the config schema
-    reads, and store an integral value such as 3.0 as the int it equals."""
-    fields = dataclasses.fields(obj)
-    for f in fields:
+    reads, must hold integers, and an integral value such as 3.0 is stored
+    as the int it equals; last, a field declared with :func:`ranged` must
+    lie in its range."""
+    for f in dataclasses.fields(obj):
         value = getattr(obj, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{f.name} must be finite (got {value})")
-    for f in fields:
+        if f.type.startswith("tuple[") and not isinstance(value, (tuple, list)):
+            raise ValueError(f"{f.name} must be a tuple (got {value!r})")
         if f.type in ("int", "tuple[int, ...]"):
-            value = getattr(obj, f.name)
-            items = (value,) if f.type == "int" else tuple(value)
+            items = (value,) if f.type == "int" else value
             integral = (isinstance(v, numbers.Integral) or isinstance(v, float) and v.is_integer() for v in items)
             if not all(integral):
                 kind = "an integer" if f.type == "int" else "integers"
                 raise ValueError(f"{f.name} must be {kind} (got {value!r})")
-            ints = tuple(map(int, items))
-            object.__setattr__(obj, f.name, ints[0] if f.type == "int" else ints)
+            value = int(value) if f.type == "int" else tuple(map(int, value))
+            object.__setattr__(obj, f.name, value)
+        if "range" in f.metadata and value is not None:
+            low, high, open_low = f.metadata["range"]
+            if value < low or value == low and open_low or value > high:
+                rule = f"{'>' if open_low else '>='} {low}"
+                if high < math.inf:
+                    rule = f"in {'(' if open_low else '['}{low}, {high}]"
+                raise ValueError(f"{f.name} must be {rule} (got {value})")
 
 
 def roulette(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from .common import (
     SEARCH_STREAM,
     Bounds,
     TrackedObjective,
+    ranged,
     require_fields,
     substream,
 )
@@ -39,9 +40,9 @@ from .pso import PsoParams, inertia_weight, velocity
 
 @dataclass(frozen=True)
 class HgapsoParams:
-    population: int = 50
-    iterations: int = 300
-    breeding_ratio: float = 0.5
+    population: int = ranged(50, 2)
+    iterations: int = ranged(300, 1)
+    breeding_ratio: float = ranged(0.5, 0, 1, open_low=True)
     # operator settings reused from the plain algorithms; their population
     # and iteration counts are ignored here
     pso: PsoParams = field(default_factory=PsoParams)
@@ -49,12 +50,6 @@ class HgapsoParams:
 
     def __post_init__(self) -> None:
         require_fields(self)
-        if self.population < 2:
-            raise ValueError(f"population must be >= 2 (got {self.population})")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1 (got {self.iterations})")
-        if not (0.0 < self.breeding_ratio <= 1.0):
-            raise ValueError(f"breeding_ratio must be in (0, 1] (got {self.breeding_ratio})")
 
 
 def elite_count(breeding_ratio: float, population: int) -> int:

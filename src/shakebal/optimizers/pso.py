@@ -29,6 +29,7 @@ from .common import (
     SEARCH_STREAM,
     Bounds,
     TrackedObjective,
+    ranged,
     require_fields,
     substream,
 )
@@ -36,27 +37,18 @@ from .common import (
 
 @dataclass(frozen=True)
 class PsoParams:
-    population: int = 50
-    iterations: int = 300
-    c1: float = 0.25
-    c2: float = 0.15
+    population: int = ranged(50, 1)
+    iterations: int = ranged(300, 1)
+    c1: float = ranged(0.25, 0)
+    c2: float = ranged(0.15, 0)
     w_max: float = 0.9
     w_min: float = 0.4
-    v_max_fraction: float = 0.5
+    v_max_fraction: float = ranged(0.5, 0, open_low=True)
 
     def __post_init__(self) -> None:
         require_fields(self)
-        if self.population < 1:
-            raise ValueError(f"population must be >= 1 (got {self.population})")
-        if self.iterations < 1:
-            raise ValueError(f"iterations must be >= 1 (got {self.iterations})")
         if not (self.w_max >= self.w_min >= 0):
             raise ValueError(f"need w_max >= w_min >= 0 (got {self.w_max}, {self.w_min})")
-        for name in ("c1", "c2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0 (got {getattr(self, name)})")
-        if self.v_max_fraction <= 0:
-            raise ValueError(f"v_max_fraction must be > 0 (got {self.v_max_fraction})")
 
 
 def inertia_weight(params: PsoParams, iteration: int) -> float:

@@ -1,5 +1,6 @@
 """Config-file format: defaults, unit suffixes, overrides and diagnostics."""
 
+import dataclasses
 import math
 import re
 from pathlib import Path
@@ -9,8 +10,10 @@ import pytest
 from shakebal.config import (
     _BOUND_KEYS, _KEYS, AppConfig, BenchSettings, ConfigError, named_key, parse_config,
 )
+from shakebal.bench import ExperimentPlan
 from shakebal.mechanism import MechanismConfig
-from shakebal.objective import DEFAULT_C1_MAX
+from shakebal.objective import DEFAULT_C1_MAX, ObjectiveSpec
+from shakebal.optimizers import AbcParams, BgaParams, HgapsoParams, PsoParams
 
 
 def load(tmp_path, text):
@@ -188,6 +191,100 @@ def test_dataclasses_reject_non_finite_values():
         BenchSettings(repeats=math.nan)
     with pytest.raises(ValueError, match="base_seed must be finite"):
         BenchSettings(base_seed=math.inf)
+
+
+def test_a_tuple_field_given_a_bare_value_is_rejected_by_name():
+    with pytest.raises(ValueError, match=r"^algorithms must be a tuple \(got 'pso'\)$"):
+        BenchSettings(algorithms="pso")
+    with pytest.raises(ValueError, match=r"^iteration_budgets must be a tuple \(got 300\)$"):
+        ExperimentPlan(iteration_budgets=300)
+    assert BenchSettings(algorithms=["pso"], iteration_budgets=[300]).algorithms == ("pso",)
+
+
+BELOW_0 = math.nextafter(0.0, -math.inf)
+ABOVE_1 = math.nextafter(1.0, math.inf)
+RANGED_CLASSES = (PsoParams, AbcParams, BgaParams, HgapsoParams, BenchSettings, MechanismConfig, ObjectiveSpec)
+# One row per bound of each single-field range: (class, field, rule, the
+# value at the bound, or None where the bound is open, and the value just
+# outside it).
+RANGE_BOUNDS = [
+    (PsoParams, "population", ">= 1", 1, 0),
+    (PsoParams, "iterations", ">= 1", 1, 0),
+    (PsoParams, "c1", ">= 0", 0.0, BELOW_0),
+    (PsoParams, "c2", ">= 0", 0.0, BELOW_0),
+    (PsoParams, "v_max_fraction", "> 0", None, 0.0),
+    (AbcParams, "food_sources", ">= 2", 2, 1),
+    (AbcParams, "iterations", ">= 1", 1, 0),
+    (AbcParams, "limit", ">= 1", 1, 0),
+    (BgaParams, "iterations", ">= 1", 1, 0),
+    (BgaParams, "bits_per_variable", "in [8, 32]", 8, 7),
+    (BgaParams, "bits_per_variable", "in [8, 32]", 32, 33),
+    (BgaParams, "crossover_points", ">= 1", 1, 0),
+    (BgaParams, "crossover_prob", "in [0, 1]", 0.0, BELOW_0),
+    (BgaParams, "crossover_prob", "in [0, 1]", 1.0, ABOVE_1),
+    (BgaParams, "mutation_prob_per_bit", "in [0, 1]", 0.0, BELOW_0),
+    (BgaParams, "mutation_prob_per_bit", "in [0, 1]", 1.0, ABOVE_1),
+    (BgaParams, "elitism", ">= 0", 0, -1),
+    (HgapsoParams, "population", ">= 2", 2, 1),
+    (HgapsoParams, "iterations", ">= 1", 1, 0),
+    (HgapsoParams, "breeding_ratio", "in (0, 1]", None, 0.0),
+    (HgapsoParams, "breeding_ratio", "in (0, 1]", 1.0, ABOVE_1),
+    (BenchSettings, "repeats", ">= 1", 1, 0),
+    (BenchSettings, "base_seed", ">= 0", 0, -1),
+    *((MechanismConfig, name, ">= 0", 0.0, BELOW_0) for name in ("m_c", "m_p", "m_0")),
+    *((MechanismConfig, name, "> 0", None, 0.0) for name in ("R", "L", "omega", "R_0", "a_1", "a_2", "r_1", "r_2")),
+    (ObjectiveSpec, "c1_max", "> 0", None, 0.0),
+    (ObjectiveSpec, "c2_max", "> 0", None, 0.0),
+    (ObjectiveSpec, "penalty_weight", ">= 0", 0.0, BELOW_0),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name, rule, at, outside", RANGE_BOUNDS, ids=[f"{row[0].__name__}.{row[1]}={row[4]}" for row in RANGE_BOUNDS]
+)
+def test_each_range_bound_gives_its_exact_message(cls, name, rule, at, outside):
+    if at is not None:
+        assert getattr(cls(**{name: at}), name) == at
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule} (got {outside})')}$"):
+        cls(**{name: outside})
+
+
+def test_every_ranged_field_has_a_row_per_bound():
+    declared = {
+        (cls, f.name): f.metadata["range"]
+        for cls in RANGED_CLASSES for f in dataclasses.fields(cls) if "range" in f.metadata
+    }
+    assert len(declared) == 33
+    rows = [(cls, name) for cls, name, *_ in RANGE_BOUNDS]
+    assert set(rows) == set(declared)
+    for key, (_, high, _) in declared.items():
+        assert rows.count(key) == (1 if high == math.inf else 2)
+
+
+def test_the_first_bad_field_in_declaration_order_names_the_error():
+    with pytest.raises(ValueError, match=r"^population must be >= 1 \(got 0\)$"):
+        PsoParams(population=0, c1=math.nan)
+    with pytest.raises(ValueError, match=r"^R must be > 0 \(got 0\.0\)$"):
+        MechanismConfig(m_0=-1.0, R=0.0)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("pso.c2 = -1\n", ":1: pso.c2: c2 must be >= 0 (got -1.0)"),
+        ("mechanism.m_c = 0.4\nmechanism.R_0 = 0\n", ":2: mechanism.R_0: R_0 must be > 0 (got 0.0)"),
+        ("objective.c2_max = -1\n", ":1: objective.c2_max: c2_max must be > 0 (got -1.0)"),
+        ("hgapso.population = 10\nhgapso.breeding_ratio = 0\n",
+         ":2: hgapso.breeding_ratio: breeding_ratio must be in (0, 1] (got 0.0)"),
+        ("bench.repeats = 0\n", ":1: bench.repeats: repeats must be >= 1 (got 0)"),
+    ],
+    ids=["c2", "R_0", "c2_max", "breeding_ratio", "repeats"],
+)
+def test_a_range_error_cites_its_key_line(tmp_path, text, error):
+    path = tmp_path / "test.cfg"
+    with pytest.raises(ConfigError) as err:
+        load(tmp_path, text)
+    assert str(err.value) == f"{path}{error}"
 
 
 def test_negative_mass_bound_is_rejected(tmp_path):
